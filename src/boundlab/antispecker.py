@@ -10,11 +10,11 @@ finite frontier M, verified level by level on the requested window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Iterator, Mapping
 
 from .errors import BadCandidate, OracleNotTotal, ScheduleUnsound
-from .seq_opens import BasicOpen, BoundSchedule, compatible_nodes
+from .seq_opens import BasicOpen, compatible, compatible_nodes, count_nodes
 
 Node = tuple[int, ...]
 
@@ -70,115 +70,35 @@ class BoundedTree:
             raise ValueError(f"bound must be a positive integer, got {self.bound!r}")
 
 
-def _entry_cap(tree: BoundedTree, i: int) -> int:
-    return min(tree.ambient.g(i), tree.bound - 1)
+def _level(q: BasicOpen, depth: int, cap: int | None) -> Iterator[Node]:
+    if depth < q.stem:
+        raise ValueError("depth must reach the ambient stem")
+    return compatible_nodes(q, depth, cap)
 
 
 def enumerate_level(tree: BoundedTree, depth: int) -> list[Node]:
     """All nodes of the bounded tree at the given depth, lexicographically."""
-    q = tree.ambient
-    if depth < q.stem:
-        raise ValueError("depth must reach the ambient stem")
-    if any(q.g(i) >= tree.bound for i in range(q.stem)):
-        return []
-    out: list[Node] = []
-
-    def rec(i: int, acc: list[int]) -> None:
-        if i == depth:
-            out.append(tuple(acc))
-            return
-        if i < q.stem:
-            acc.append(q.g(i))
-            rec(i + 1, acc)
-            acc.pop()
-        else:
-            for v in range(_entry_cap(tree, i) + 1):
-                acc.append(v)
-                rec(i + 1, acc)
-                acc.pop()
-
-    rec(0, [])
-    return out
+    return list(_level(tree.ambient, depth, tree.bound - 1))
 
 
 def level_count(tree: BoundedTree, depth: int) -> int:
-    q = tree.ambient
-    if any(q.g(i) >= tree.bound for i in range(q.stem)):
-        return 0
-    total = 1
-    for i in range(q.stem, depth):
-        total *= _entry_cap(tree, i) + 1
-    return total
+    # The tree has no level shallower than the stem; such depths count its
+    # single pinned stem node.
+    return count_nodes(tree.ambient, max(depth, tree.ambient.stem), tree.bound - 1)
 
 
-def _in_tree(tree: BoundedTree, node: Node) -> bool:
-    q = tree.ambient
-    if len(node) < q.stem:
-        return False
-    for i, v in enumerate(node):
-        if i < q.stem:
-            if v != q.g(i):
-                return False
-        elif v > q.g(i):
-            return False
-        if v >= tree.bound:
-            return False
-    return True
+def _nonstar(oracle: StarOracle, n: int, depth: int, walk: BasicOpen, cap: int | None) -> Iterator[Node]:
+    """Candidate depth-`depth` nodes labeled non-star for index n: the listed
+    ones, or, under total labels, `walk`'s nodes asked about in order."""
+    if oracle.default_star:
+        return (node for node in oracle.nonstar_listed(n) if len(node) == depth >= walk.stem)
+    return (node for node in _level(walk, depth, cap) if not oracle.is_star(n, node))
 
 
 def nonstar_nodes(tree: BoundedTree, oracle: StarOracle, n: int) -> list[Node]:
     """The finitely many depth-i_n nodes of the tree labeled non-star."""
-    depth = oracle.level_of(n)
-    if oracle.default_star:
-        return [node for node in oracle.nonstar_listed(n) if len(node) == depth and _in_tree(tree, node)]
-    return [node for node in enumerate_level(tree, depth) if not oracle.is_star(n, node)]
-
-
-@dataclass
-class StageFrame:
-    """One pass of the staged construction, kept for replayable traces."""
-
-    stage: int
-    cap: int
-    nonstar_max: int | None
-    wrote: tuple[int, int] | None = None
-    values: tuple[int, ...] = field(default_factory=tuple)
-
-
-def _nonstar_beyond(
-    q: BasicOpen,
-    oracle: StarOracle,
-    levels: dict[int, int],
-    gvals: dict[int, int],
-    frontier: int,
-    cap: int,
-) -> list[int]:
-    """Lengths of non-star nodes inside the stage subtree past the frontier."""
-
-    def bound_at(k: int) -> int:
-        return gvals[k] if k <= frontier else min(cap, q.g(k))
-
-    def inside(node: Node) -> bool:
-        for i, v in enumerate(node):
-            if i < q.stem:
-                if v != q.g(i):
-                    return False
-            elif v > bound_at(i):
-                return False
-        return True
-
-    lengths: list[int] = []
-    for n, depth in levels.items():
-        if depth <= frontier:
-            continue
-        if oracle.default_star:
-            hits = (node for node in oracle.nonstar_listed(n) if len(node) == depth)
-        else:
-            tree = BoundedTree(q, cap + 1)
-            hits = (node for node in enumerate_level(tree, depth) if not oracle.is_star(n, node))
-        if any(inside(node) for node in hits):
-            lengths.append(depth)
-    return lengths
+    q, cap = tree.ambient, tree.bound - 1
+    return [node for node in _nonstar(oracle, n, oracle.level_of(n), q, cap) if compatible(q, node, cap)]
 
 
 def _build(q: BasicOpen, oracle: StarOracle, I: int, horizon: int):
@@ -191,16 +111,24 @@ def _build(q: BasicOpen, oracle: StarOracle, I: int, horizon: int):
     top = max(levels.values())
     vis_cap = max((q.g(k) for k in range(q.stem, top + 1)), default=0)
 
-    gvals = {k: q.g(k) for k in range(q.stem)}
+    # r is q with every segment written so far; past the frontier it is q.
+    r = q
     frontier = q.stem - 1
     j_first: int | None = None
-    frames: list[StageFrame] = []
+    frames: list[dict] = []
     stage = 0
     while True:
         cap = I + stage + 1
-        lengths = _nonstar_beyond(q, oracle, levels, gvals, frontier, cap)
+        # Non-star nodes inside the stage subtree past the frontier, asked
+        # about along q's capped nodes.
+        lengths = [
+            depth
+            for n, depth in levels.items()
+            if depth > frontier
+            and any(compatible(r, node, cap) for node in _nonstar(oracle, n, depth, q, cap))
+        ]
         if not lengths:
-            frames.append(StageFrame(stage, cap, None))
+            frames.append({"stage": stage, "cap": cap, "nonstar_max": None, "wrote": None, "values": []})
             if stage == 0 and j_first is None:
                 j_first = q.stem - 1
             if cap >= vis_cap:
@@ -212,50 +140,24 @@ def _build(q: BasicOpen, oracle: StarOracle, I: int, horizon: int):
             raise ScheduleUnsound(
                 f"non-star nodes reach the top visible level {top}; escape not certifiable"
             )
-        written = tuple(min(q.g(k), I + stage) for k in range(frontier + 1, j_new + 1))
-        for k, v in zip(range(frontier + 1, j_new + 1), written):
-            gvals[k] = v
-        frames.append(StageFrame(stage, cap, j_new, (frontier + 1, j_new), written))
+        written = [min(q.g(k), I + stage) for k in range(frontier + 1, j_new + 1)]
+        r = BasicOpen(q.stem, r.schedule.overwrite(frontier + 1, written))
+        wrote = [frontier + 1, j_new]
+        frames.append({"stage": stage, "cap": cap, "nonstar_max": j_new, "wrote": wrote, "values": written})
         if j_first is None:
             j_first = j_new
         frontier = j_new
         stage += 1
 
-    upto = max(frontier + 1, len(q.schedule.explicit), q.stem)
-    explicit = tuple(gvals.get(k, q.g(k)) for k in range(upto))
-    r = BasicOpen(
-        q.stem, BoundSchedule(explicit, q.schedule.value(upto), q.schedule.tail_slope)
-    )
-
     cut = j_first if j_first is not None else q.stem - 1
     M = max([n for n, depth in levels.items() if depth <= cut], default=0)
 
     for m in range(M + 1, horizon + 1):
-        depth = levels[m]
-        if oracle.default_star:
-            bad = any(
-                len(node) == depth and _compatible_with(r, node)
-                for node in oracle.nonstar_listed(m)
-            )
-        else:
-            bad = any(
-                not oracle.is_star(m, node) for node in compatible_nodes(r, depth)
-            )
-        if bad:
+        if any(compatible(r, node) for node in _nonstar(oracle, m, levels[m], r, None)):
             raise ScheduleUnsound(
                 f"index {m} past the frontier M={M} still has a compatible non-star node"
             )
     return r, M, frames
-
-
-def _compatible_with(r: BasicOpen, node: Node) -> bool:
-    for i, v in enumerate(node):
-        if i < r.stem:
-            if v != r.g(i):
-                return False
-        elif v > r.g(i):
-            return False
-    return True
 
 
 def build_escape_schedule(
@@ -276,17 +178,4 @@ def build_escape_schedule(
 def escape_trace(q: BasicOpen, oracle: StarOracle, I: int, horizon: int) -> dict:
     """The staged construction with its full frame-by-frame trace."""
     r, M, frames = _build(q, oracle, I, horizon)
-    return {
-        "result": r,
-        "M": M,
-        "frames": [
-            {
-                "stage": fr.stage,
-                "cap": fr.cap,
-                "nonstar_max": fr.nonstar_max,
-                "wrote": list(fr.wrote) if fr.wrote else None,
-                "values": list(fr.values),
-            }
-            for fr in frames
-        ],
-    }
+    return {"result": r, "M": M, "frames": frames}

@@ -204,103 +204,73 @@ def _verify(args) -> Any:
 
 # --- parser ---------------------------------------------------------------
 
+_REQUIRED = object()
+
+# group -> (help, {command -> (handler, arguments)}), or (help, (handler,
+# arguments)) for a group that is itself a command.  An argument is a
+# positional name or a (flag, type, default) triple; _REQUIRED marks a
+# mandatory flag.
+_COMMANDS: dict[str, tuple[str, Any]] = {
+    "seq": ("basic opens of the sequence space", {
+        "intersect": (_seq_intersect, ["a", "b"]),
+        "split": (_seq_split, ["open", ("--at", int, None)]),
+        "member": (_seq_member, ["open", "point"]),
+        "force-range": (_seq_force_range, ["open", ("--value", int, _REQUIRED)]),
+    }),
+    "fuse": ("good-extension and fusion constructions", {
+        "bound": (_fuse_bound, ["p", "term", ("--level", int, _REQUIRED), ("--at", int, None)]),
+        "pseudo": (_fuse_pseudo, ["job"]),
+        "dc": (_fuse_dc, [
+            "p", ("--start", int, _REQUIRED), ("--steps", int, _REQUIRED), ("--oracle", str, "successor"),
+        ]),
+    }),
+    "set": ("opens over eventually periodic sets", {
+        "intersect": (_set_intersect, ["a", "b"]),
+        "member": (_set_member, ["point", "open"]),
+        "seqbound": (_set_seqbound, ["job"]),
+    }),
+    "as": ("escape schedules for starred sequences", {
+        "schedule": (_as_schedule, ["q", "oracle", ("--level", int, _REQUIRED), ("--horizon", int, _REQUIRED)]),
+    }),
+    "fp": ("certified-convergence counterexample lab", {
+        "v": (_fp_v, [("--max-n", int, _REQUIRED)]),
+        "witness": (_fp_witness, [("--k", int, _REQUIRED)]),
+        "scenario": (_fp_scenario, [("--count", int, 5), ("--window", int, 20)]),
+    }),
+    "ext": ("functional-probing counterexample lab", {
+        "az": (_ext_az, ["program", ("--support-bound", int, _REQUIRED), ("--value-bound", int, 4)]),
+        "fbeta": (_ext_fbeta, [
+            "beta", ("--m", int, _REQUIRED), ("--support-bound", int, None), ("--value-bound", int, 4),
+        ]),
+    }),
+    "verify": ("replay an emitted certificate", (_verify, ["certificate"])),
+}
+
+
+def _add_command(parser: _Parser, handler, arguments) -> None:
+    for arg in arguments:
+        if isinstance(arg, str):
+            parser.add_argument(arg)
+        else:
+            flag, kind, default = arg
+            required = default is _REQUIRED
+            parser.add_argument(flag, type=kind, default=None if required else default, required=required)
+    parser.set_defaults(handler=handler)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="boundlab", description=__doc__)
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized demos")
     parser.add_argument("--budget", type=int, default=None, help="machine step cap")
     sub = parser.add_subparsers(dest="group", metavar="GROUP")
-
-    seq = sub.add_parser("seq", help="basic opens of the sequence space")
-    seqsub = seq.add_subparsers(dest="cmd", metavar="CMD")
-    c = seqsub.add_parser("intersect")
-    c.add_argument("a")
-    c.add_argument("b")
-    c.set_defaults(handler=_seq_intersect)
-    c = seqsub.add_parser("split")
-    c.add_argument("open")
-    c.add_argument("--at", type=int, default=None)
-    c.set_defaults(handler=_seq_split)
-    c = seqsub.add_parser("member")
-    c.add_argument("open")
-    c.add_argument("point")
-    c.set_defaults(handler=_seq_member)
-    c = seqsub.add_parser("force-range")
-    c.add_argument("open")
-    c.add_argument("--value", type=int, required=True)
-    c.set_defaults(handler=_seq_force_range)
-
-    fuse = sub.add_parser("fuse", help="good-extension and fusion constructions")
-    fusesub = fuse.add_subparsers(dest="cmd", metavar="CMD")
-    c = fusesub.add_parser("bound")
-    c.add_argument("p")
-    c.add_argument("term")
-    c.add_argument("--level", type=int, required=True)
-    c.add_argument("--at", type=int, default=None)
-    c.set_defaults(handler=_fuse_bound)
-    c = fusesub.add_parser("pseudo")
-    c.add_argument("job")
-    c.set_defaults(handler=_fuse_pseudo)
-    c = fusesub.add_parser("dc")
-    c.add_argument("p")
-    c.add_argument("--start", type=int, required=True)
-    c.add_argument("--steps", type=int, required=True)
-    c.add_argument("--oracle", default="successor")
-    c.set_defaults(handler=_fuse_dc)
-
-    sets = sub.add_parser("set", help="opens over eventually periodic sets")
-    setsub = sets.add_subparsers(dest="cmd", metavar="CMD")
-    c = setsub.add_parser("intersect")
-    c.add_argument("a")
-    c.add_argument("b")
-    c.set_defaults(handler=_set_intersect)
-    c = setsub.add_parser("member")
-    c.add_argument("point")
-    c.add_argument("open")
-    c.set_defaults(handler=_set_member)
-    c = setsub.add_parser("seqbound")
-    c.add_argument("job")
-    c.set_defaults(handler=_set_seqbound)
-
-    asx = sub.add_parser("as", help="escape schedules for starred sequences")
-    assub = asx.add_subparsers(dest="cmd", metavar="CMD")
-    c = assub.add_parser("schedule")
-    c.add_argument("q")
-    c.add_argument("oracle")
-    c.add_argument("--level", type=int, required=True)
-    c.add_argument("--horizon", type=int, required=True)
-    c.set_defaults(handler=_as_schedule)
-
-    fp = sub.add_parser("fp", help="certified-convergence counterexample lab")
-    fpsub = fp.add_subparsers(dest="cmd", metavar="CMD")
-    c = fpsub.add_parser("v")
-    c.add_argument("--max-n", type=int, required=True)
-    c.set_defaults(handler=_fp_v)
-    c = fpsub.add_parser("witness")
-    c.add_argument("--k", type=int, required=True)
-    c.set_defaults(handler=_fp_witness)
-    c = fpsub.add_parser("scenario")
-    c.add_argument("--count", type=int, default=5)
-    c.add_argument("--window", type=int, default=20)
-    c.set_defaults(handler=_fp_scenario)
-
-    ext = sub.add_parser("ext", help="functional-probing counterexample lab")
-    extsub = ext.add_subparsers(dest="cmd", metavar="CMD")
-    c = extsub.add_parser("az")
-    c.add_argument("program")
-    c.add_argument("--support-bound", type=int, required=True)
-    c.add_argument("--value-bound", type=int, default=4)
-    c.set_defaults(handler=_ext_az)
-    c = extsub.add_parser("fbeta")
-    c.add_argument("beta")
-    c.add_argument("--m", type=int, required=True)
-    c.add_argument("--support-bound", type=int, default=None)
-    c.add_argument("--value-bound", type=int, default=4)
-    c.set_defaults(handler=_ext_fbeta)
-
-    ver = sub.add_parser("verify", help="replay an emitted certificate")
-    ver.add_argument("certificate")
-    ver.set_defaults(handler=_verify)
-
+    for group, (help_text, commands) in _COMMANDS.items():
+        g = sub.add_parser(group, help=help_text)
+        if isinstance(commands, tuple):
+            _add_command(g, *commands)
+        else:
+            cmds = g.add_subparsers(dest="cmd", metavar="CMD")
+            for name, (handler, arguments) in commands.items():
+                _add_command(cmds.add_parser(name), handler, arguments)
     return parser
 
 
@@ -315,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
         print(dumps({"code": "Usage", "message": "missing subcommand"}), file=sys.stderr)
         return 64
     try:
-        result = args.handler(args)
+        text = dumps(args.handler(args))
     except DomainError as e:
         print(dumps(e.to_json()))
         return 2
@@ -325,5 +295,5 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as e:
         print(dumps({"code": "BadInput", "message": str(e)}))
         return 2
-    print(dumps(result))
+    print(text)
     return 0

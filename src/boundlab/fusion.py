@@ -14,14 +14,12 @@ golden tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from functools import reduce
+from typing import Callable, Mapping
 
 from .errors import BadCandidate, EmptyOpenError, OracleNotTotal, PointNotInOpen
 from .seq_opens import (
-    EMPTY,
     BasicOpen,
-    BoundSchedule,
     Open,
     Point,
     compatible_nodes,
@@ -70,13 +68,8 @@ def _good_extension(p: BasicOpen, t: Term, I: int) -> BasicOpen:
         # value is a prefix entry <= I, so reaching here means t was not.
         raise BadCandidate("term value on a pinned node exceeds the candidate; not range-witnessed")
     branches = [_good_extension(split(p, i), t, I) for i in range(I + 1)]
-    merged = branches[0].schedule
-    for b in branches[1:]:
-        merged = min_schedule(merged, b.schedule)
-    upto = max(p.stem + 1, len(merged.explicit))
-    explicit = merged.values(upto)
-    explicit[p.stem] = I
-    return BasicOpen(p.stem, BoundSchedule(tuple(explicit), merged.value(upto), merged.tail_slope))
+    merged = reduce(min_schedule, (b.schedule for b in branches))
+    return BasicOpen(p.stem, merged.overwrite(p.stem, [I]))
 
 
 def bound_range_term(p: Open, t: Term, I: int) -> BasicOpen:
@@ -96,15 +89,9 @@ def bound_range_term_at(p: Open, t: Term, I: int, M: int) -> BasicOpen:
     _check_candidate(base, I, M)
     if M == base.stem:
         return bound_range_term(base, t, I)
-    shrunk = []
-    for sigma in compatible_nodes(base, M):
-        shrunk.append(_good_extension(restrict_by_seq(base, sigma), t, I))
-    merged = shrunk[0].schedule
-    for q in shrunk[1:]:
-        merged = min_schedule(merged, q.schedule)
-    upto = max(M + 1, len(merged.explicit))
-    explicit = base.schedule.values(M) + merged.values(upto)[M:]
-    return BasicOpen(base.stem, BoundSchedule(tuple(explicit), merged.value(upto), merged.tail_slope))
+    shrunk = [_good_extension(restrict_by_seq(base, sigma), t, I) for sigma in compatible_nodes(base, M)]
+    merged = reduce(min_schedule, (q.schedule for q in shrunk))
+    return BasicOpen(base.stem, merged.overwrite(0, base.schedule.values(M)))
 
 
 def fuse_pseudobound(p: Open, a: TermSequence, f: Point, stages: int) -> tuple[int, list[BasicOpen]]:

@@ -10,13 +10,18 @@ subset tests all stay exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptyOpenError, IncompatibleSeq, SplitOutOfRange
 
 
+def is_nat(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 def _nat(x: int, what: str) -> int:
-    if not isinstance(x, int) or isinstance(x, bool) or x < 0:
+    if not is_nat(x):
         raise ValueError(f"{what} must be a natural number, got {x!r}")
     return x
 
@@ -54,6 +59,14 @@ class BoundSchedule:
 
     def values(self, upto: int) -> list[int]:
         return [self.value(n) for n in range(upto)]
+
+    def overwrite(self, start: int, entries: Sequence[int]) -> BoundSchedule:
+        """The same schedule with entries written from position start on."""
+        end = start + len(entries)
+        upto = max(end, len(self.explicit))
+        explicit = self.values(upto)
+        explicit[start:end] = entries
+        return BoundSchedule(tuple(explicit), self.value(upto), self.tail_slope)
 
 
 def schedule_of(explicit: Iterable[int], base: int, slope: int = 1) -> BoundSchedule:
@@ -236,11 +249,7 @@ def split(r: Open, i: int) -> BasicOpen:
     _nat(i, "split value")
     if i > p.g(p.stem):
         raise SplitOutOfRange(f"split value {i} exceeds schedule value {p.g(p.stem)} at the stem")
-    upto = max(p.stem + 1, len(p.schedule.explicit))
-    explicit = p.schedule.values(upto)
-    explicit[p.stem] = i
-    base = p.schedule.value(upto)
-    return BasicOpen(p.stem + 1, BoundSchedule(tuple(explicit), base, p.schedule.tail_slope))
+    return BasicOpen(p.stem + 1, p.schedule.overwrite(p.stem, [i]))
 
 
 def restrict_by_seq(p: Open, sigma: Sequence[int]) -> BasicOpen:
@@ -255,11 +264,7 @@ def restrict_by_seq(p: Open, sigma: Sequence[int]) -> BasicOpen:
                 raise IncompatibleSeq(f"entry {v} at {n} differs from pinned value {base_open.g(n)}")
         elif v > base_open.g(n):
             raise IncompatibleSeq(f"entry {v} at {n} exceeds schedule value {base_open.g(n)}")
-    cut = len(entries)
-    upto = max(cut, len(base_open.schedule.explicit))
-    explicit = entries + base_open.schedule.values(upto)[cut:]
-    base = base_open.schedule.value(upto)
-    return BasicOpen(cut, BoundSchedule(tuple(explicit), base, base_open.schedule.tail_slope))
+    return BasicOpen(len(entries), base_open.schedule.overwrite(0, entries))
 
 
 def forces_G_value(p: Open, n: int) -> int | None:
@@ -284,27 +289,33 @@ def force_value_into_range(p: Open, B: int) -> BasicOpen:
     return restrict_by_seq(o, sigma)
 
 
-def compatible_nodes(p: BasicOpen, depth: int) -> Iterator[tuple[int, ...]]:
-    """All length-`depth` sequences a member of p can start with (lex order)."""
+def _entries(p: BasicOpen, i: int, cap: int | None) -> range:
+    """Values a compatible node holds at position i: the pinned value below
+    the stem, otherwise anything up to the schedule; never above cap."""
+    hi = p.g(i) if cap is None else min(p.g(i), cap)
+    return range(p.g(i) if i < p.stem else 0, hi + 1)
+
+
+def compatible(p: BasicOpen, node: Sequence[int], cap: int | None = None) -> bool:
+    """Is node one of compatible_nodes(p, len(node), cap)?"""
+    return all(v in _entries(p, i, cap) for i, v in enumerate(node))
+
+
+def compatible_nodes(p: BasicOpen, depth: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
+    """All length-`depth` sequences a member of p can start with (lex order),
+    restricted to entries <= cap when a cap is given."""
     def rec(i: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
         if i == depth:
             yield tuple(acc)
             return
-        if i < p.stem:
-            acc.append(p.g(i))
+        for v in _entries(p, i, cap):
+            acc.append(v)
             yield from rec(i + 1, acc)
             acc.pop()
-        else:
-            for v in range(p.g(i) + 1):
-                acc.append(v)
-                yield from rec(i + 1, acc)
-                acc.pop()
 
     yield from rec(0, [])
 
 
-def count_nodes(p: BasicOpen, depth: int) -> int:
-    total = 1
-    for i in range(p.stem, depth):
-        total *= p.g(i) + 1
-    return total
+def count_nodes(p: BasicOpen, depth: int, cap: int | None = None) -> int:
+    """The number of nodes compatible_nodes(p, depth, cap) yields."""
+    return prod(len(_entries(p, i, cap)) for i in range(depth))

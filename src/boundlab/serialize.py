@@ -14,7 +14,7 @@ import json
 from typing import Any
 
 from .antispecker import StarOracle
-from .seq_opens import EMPTY, BasicOpen, Open, Point, make_open
+from .seq_opens import EMPTY, BasicOpen, Open, Point, is_nat, make_open
 from .set_opens import PeriodicSet, SetOpen, set_open
 from .terms import RangeTerm
 
@@ -31,14 +31,14 @@ def _expect(cond: bool, what: str) -> None:
 def _nat_field(d: dict, key: str) -> int:
     _expect(key in d, f"missing field {key!r}")
     x = d[key]
-    _expect(isinstance(x, int) and not isinstance(x, bool) and x >= 0, f"field {key!r} must be a natural")
+    _expect(is_nat(x), f"field {key!r} must be a natural")
     return x
 
 
 def _nat_list(xs: Any, what: str) -> list[int]:
     _expect(isinstance(xs, list), f"{what} must be a list")
     for x in xs:
-        _expect(isinstance(x, int) and not isinstance(x, bool) and x >= 0, f"{what} entries must be naturals")
+        _expect(is_nat(x), f"{what} entries must be naturals")
     return list(xs)
 
 

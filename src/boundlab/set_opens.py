@@ -15,12 +15,7 @@ from math import lcm
 from typing import Callable, Iterable
 
 from .errors import EmptyOpenError, InconsistentTermFamily, NotAPoint, NotASubopen
-
-
-def _nat(x: int, what: str) -> int:
-    if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-        raise ValueError(f"{what} must be a natural number, got {x!r}")
-    return x
+from .seq_opens import _nat
 
 
 def _bit(x: int, what: str) -> int:

@@ -272,3 +272,12 @@ def test_fp_v_reruns_are_byte_identical():
     second = run_cli("fp", "v", "--max-n", "30")
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode == 0
+
+
+def test_unprintable_result_keeps_the_exit_contract():
+    # The witness for k=20 has more digits than json will print by default.
+    res = run_cli("fp", "witness", "--k", "20")
+    assert res.returncode in (0, 2, 64, 65), res.stderr
+    body = json.loads(res.stdout)
+    assert isinstance(body, dict)
+    assert res.stdout.count("\n") == 1
