@@ -91,7 +91,7 @@ def _nonstar(oracle: StarOracle, n: int, depth: int, walk: BasicOpen, cap: int |
     """Candidate depth-`depth` nodes labeled non-star for index n: the listed
     ones, or, under total labels, `walk`'s nodes asked about in order."""
     if oracle.default_star:
-        return (node for node in oracle.nonstar_listed(n) if len(node) == depth >= walk.stem)
+        return (node for node in oracle.nonstar_listed(n) if len(node) == depth and depth >= walk.stem)
     return (node for node in _level(walk, depth, cap) if not oracle.is_star(n, node))
 
 

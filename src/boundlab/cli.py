@@ -230,7 +230,9 @@ _COMMANDS: dict[str, tuple[str, Any]] = {
         "seqbound": (_set_seqbound, ["job"]),
     }),
     "as": ("escape schedules for starred sequences", {
-        "schedule": (_as_schedule, ["q", "oracle", ("--level", int, _REQUIRED), ("--horizon", int, _REQUIRED)]),
+        "schedule": (_as_schedule, [
+            "q", "oracle", ("--level", int, _REQUIRED), ("--horizon", int, _REQUIRED),
+        ]),
     }),
     "fp": ("certified-convergence counterexample lab", {
         "v": (_fp_v, [("--max-n", int, _REQUIRED)]),
