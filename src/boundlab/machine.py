@@ -20,6 +20,7 @@ part of the machine, so results stay a pure function of (w, z, budget)).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from math import isqrt
 
@@ -78,41 +79,140 @@ SUCC = node("succ", ARG)
 LOOPER = node("apply", ARG, ARG)
 
 
+# Codes of at least _TABLE_MIN_BITS bits that encode has produced, with their
+# programs, so that decode can skip unpairing them.  The table holds at most
+# _TABLE_MAX_BITS bits of keys and drops the oldest entries first.  Only
+# programs that decode would rebuild field for field go in, so a hit returns
+# an equal program; charges depend on bit lengths alone and do not move.
+_TABLE_MIN_BITS = 1024
+_TABLE_MAX_BITS = 1 << 23
+_TABLE_MIN_CODE = 1 << (_TABLE_MIN_BITS - 1)  # least code of that many bits
+
+
+class _CodeTable:
+    __slots__ = ("entries", "bits")
+
+    def __init__(self):
+        self.entries: OrderedDict[int, Expr] = OrderedDict()
+        self.bits = 0
+
+    def add(self, code: int, e: Expr) -> None:
+        bits = code.bit_length()
+        if bits > _TABLE_MAX_BITS or code in self.entries:
+            return
+        while self.bits + bits > _TABLE_MAX_BITS:
+            self.bits -= self.entries.popitem(last=False)[0].bit_length()
+        self.entries[code] = e
+        self.bits += bits
+
+
+_CODES = _CodeTable()
+
+
+def _decodes_to_itself(e: Expr) -> bool:
+    """Are e's own fields the ones decode gives the node with its code?"""
+    if type(e) is not Expr or type(e.args) is not tuple:
+        return False
+    if e.op == "const":
+        return type(e.value) is int and e.value >= 0
+    return e.value == 0
+
+
 def encode(e: Expr) -> int:
-    """Canonical index: payload * 12 + tag, payloads paired left to right."""
-    tag = TAG[e.op]
-    if e.op == "arg":
-        payload = 0
-    elif e.op == "const":
-        payload = e.value
-    elif ARITY[e.op] == 1:
-        payload = encode(e.args[0])
-    elif e.op == "if0":
-        c, a, b = (encode(s) for s in e.args)
-        payload = pair(c, pair(a, b))
-    else:
-        payload = pair(encode(e.args[0]), encode(e.args[1]))
-    return payload * 12 + tag
+    """Canonical index: payload * 12 + tag, payloads paired left to right.
+
+    Iterative, so a program's depth is limited by memory, not by the host
+    stack.  Codes big enough for decode's table are recorded there.
+    """
+    order = []  # every node before its children, last child first
+    todo = [e]
+    while todo:
+        n = todo.pop()
+        order.append(n)
+        todo.extend(n.args)
+    record = None  # decided once, when the first big code turns up
+    codes: list[int] = []  # finished subtrees, leftmost child deepest
+    for n in reversed(order):
+        k = len(n.args)
+        if k == 0:
+            codes.append(n.value * 12 + 1 if n.op == "const" else 0)
+            continue
+        if k == 1:
+            payload = codes.pop()
+        elif k == 2:
+            b = codes.pop()
+            payload = pair(codes.pop(), b)
+        else:
+            b = codes.pop()
+            a = codes.pop()
+            payload = pair(codes.pop(), pair(a, b))
+        code = payload * 12 + TAG[n.op]
+        if code >= _TABLE_MIN_CODE:
+            if record is None:
+                record = all(map(_decodes_to_itself, order))
+            if record:
+                _CODES.add(code, n)
+        codes.append(code)
+    return codes[0]
+
+
+_new_object = object.__new__
+_set_field = object.__setattr__
+
+
+def _built(op: str, args: tuple[Expr, ...], value: int = 0) -> Expr:
+    """An Expr for fields decode has made valid.  It skips the checks of
+    __post_init__, which cost as much as the rest of the construction."""
+    e = _new_object(Expr)
+    _set_field(e, "op", op)
+    _set_field(e, "args", args)
+    _set_field(e, "value", value)
+    return e
 
 
 def decode(code: int) -> Expr:
-    """Total inverse-ish of encode: every natural is some program."""
+    """Total inverse-ish of encode: every natural is some program.
+
+    Iterative like encode; codes encode has recorded are looked up instead
+    of unpaired.
+    """
     if code < 0:
         raise ValueError("indices are naturals")
-    payload, tag = divmod(code, 12)
-    op = OPS[tag]
-    if op == "arg":
-        return ARG
-    if op == "const":
-        return const(payload)
-    if ARITY[op] == 1:
-        return Expr(op, (decode(payload),))
-    if op == "if0":
-        c, rest = unpair(payload)
-        a, b = unpair(rest)
-        return Expr("if0", (decode(c), decode(a), decode(b)))
-    left, right = unpair(payload)
-    return Expr(op, (decode(left), decode(right)))
+    table = _CODES.entries
+    order: list[Expr | str] = []  # finished leaves, or the op of an inner node
+    todo = [code]
+    while todo:
+        c = todo.pop()
+        if c >= _TABLE_MIN_CODE:
+            hit = table.get(c)
+            if hit is not None:
+                order.append(hit)
+                continue
+        payload, tag = divmod(c, 12)
+        if tag == 0:
+            order.append(ARG)
+        elif tag == 1:
+            order.append(_built("const", (), payload))
+        else:
+            op = OPS[tag]
+            order.append(op)
+            if ARITY[op] == 1:
+                todo.append(payload)
+            elif op == "if0":
+                cond, rest = unpair(payload)
+                todo.append(cond)
+                todo.extend(unpair(rest))
+            else:
+                todo.extend(unpair(payload))
+    built: list[Expr] = []  # finished subtrees, leftmost child deepest
+    for item in reversed(order):
+        if type(item) is str:
+            k = ARITY[item]
+            args = tuple(built[-k:])
+            del built[-k:]
+            item = _built(item, args)
+        built.append(item)
+    return built[0]
 
 
 def format_program(e: Expr) -> str:
@@ -166,6 +266,12 @@ class OutOfFuel(Exception):
     """Internal: the step budget ran out mid-evaluation."""
 
 
+class NestingCapped(Exception):
+    """The run needs more nesting than the cap allows.  It then fails at
+    every budget: a larger one replays the run up to the same point, and a
+    smaller one runs out there or before."""
+
+
 _MAX_DEPTH = 384
 
 
@@ -195,7 +301,7 @@ class _Fuel:
 def _eval(e: Expr, z: int, fuel: _Fuel) -> int:
     fuel.depth += 1
     if fuel.depth > _MAX_DEPTH:
-        raise OutOfFuel
+        raise NestingCapped
     try:
         return _eval_node(e, z, fuel)
     finally:
@@ -247,9 +353,9 @@ def _eval_node(e: Expr, z: int, fuel: _Fuel) -> int:
     return fuel.charge(_eval(decode(w), x, fuel))
 
 
-def eval_profile(e: Expr, z: int, budget: int) -> tuple[int, int] | None:
-    """Run the expression on z: (value, steps) if it converges strictly
-    within the budget, else None."""
+def eval_outcome(e: Expr, z: int, budget: int) -> tuple[int, int] | None:
+    """eval_profile, except that a run past the nesting cap raises
+    NestingCapped instead of returning None."""
     if budget <= 0:
         return None
     fuel = _Fuel(budget)
@@ -260,6 +366,15 @@ def eval_profile(e: Expr, z: int, budget: int) -> tuple[int, int] | None:
     return value, budget - fuel.remaining
 
 
+def eval_profile(e: Expr, z: int, budget: int) -> tuple[int, int] | None:
+    """Run the expression on z: (value, steps) if it converges strictly
+    within the budget, else None."""
+    try:
+        return eval_outcome(e, z, budget)
+    except NestingCapped:
+        return None
+
+
 def eval_steps(w: int, z: int, budget: int) -> int | None:
     """The machine proper: run the program with index w on input z."""
     out = eval_profile(decode(w), z, budget)
@@ -267,7 +382,13 @@ def eval_steps(w: int, z: int, budget: int) -> int | None:
 
 
 def apply_free(e: Expr) -> bool:
-    return e.op != "apply" and all(apply_free(a) for a in e.args)
+    todo = [e]
+    while todo:
+        n = todo.pop()
+        if n.op == "apply":
+            return False
+        todo.extend(n.args)
+    return True
 
 
 def check_proof(j: int, w: int) -> bool:

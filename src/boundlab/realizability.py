@@ -26,6 +26,7 @@ from .machine import (
     ARG,
     E0,
     Expr,
+    NestingCapped,
     TotalityCertificate,
     alias_certificate,
     apply_free,
@@ -33,6 +34,7 @@ from .machine import (
     const,
     decode,
     encode,
+    eval_outcome,
     eval_profile,
     node,
     unpair,
@@ -47,21 +49,27 @@ class VTrace:
 
 
 class ConvergenceCache:
-    """Memoized machine runs: exact (steps, output) once converged, and the
-    best known failed budget otherwise."""
+    """Memoized machine runs: exact (steps, output) once converged, the
+    best known failed budget otherwise, and the runs past the nesting cap,
+    which fail at every budget."""
 
     def __init__(self):
         self._exact: dict[tuple[int, int], tuple[int, int]] = {}
         self._aborted: dict[tuple[int, int], int] = {}
+        self._capped: set[tuple[int, int]] = set()
 
     def run(self, w: int, z: int, budget: int) -> tuple[int, int] | None:
         key = (w, z)
         if key in self._exact:
             steps, out = self._exact[key]
             return (steps, out) if steps < budget else None
-        if budget <= self._aborted.get(key, 0):
+        if key in self._capped or budget <= self._aborted.get(key, 0):
             return None
-        res = eval_profile(decode(w), z, budget)
+        try:
+            res = eval_outcome(decode(w), z, budget)
+        except NestingCapped:
+            self._capped.add(key)
+            return None
         if res is None:
             self._aborted[key] = budget
             return None
@@ -78,6 +86,10 @@ class ConvergenceCache:
             res = self.run(w, z, budget)
             if res is not None:
                 return res
+            if key in self._capped:
+                raise BudgetExhausted(
+                    f"program {w} on {z} needs more nesting than the machine allows"
+                )
             budget *= 4
             if cap is not None and budget > cap:
                 raise BudgetExhausted(
@@ -273,12 +285,24 @@ def enumerate_Az(
     Always contains 0; contains m when some finite-support argument that
     vanishes below m gets a different answer than the zero function.  Exact
     whenever the functional only probes within the searched window.
+
+    An argument that vanishes below m also vanishes below every smaller m,
+    so the answer is {0..m*} for the largest such m*.  The search runs m
+    from support_bound down and stops at the first hit; at each m it
+    probes only the arguments nonzero at m, because the others were probed
+    one level up.  Every probe it makes, the bottom-up search over all m
+    makes too, so it raises BudgetExhausted only where that search would:
+    when the zero argument, or a probe made before the hit, does not
+    converge within the budget.
     """
-    out = {0}
-    for m in range(support_bound + 1):
-        if least_distinguishing_fn(z, m, support_bound, value_bound, budget) is not None:
-            out.add(m)
-    return out
+    if support_bound < 0:
+        return {0}
+    baseline = apply_functional(z, ZERO_FN, budget)
+    for m in range(support_bound, 0, -1):
+        for g in support_candidates(m, support_bound, value_bound):
+            if g.value(m) and apply_functional(z, g, budget) != baseline:
+                return set(range(m + 1))
+    return {0}
 
 
 def make_F_beta(beta: Expr, m: int) -> Expr:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from boundlab.machine import apply_free, decode, encode, eval_profile
+from boundlab.machine import ARG, ARITY, OPS, Expr, apply_free, const, decode, encode, eval_profile, unpair
+from boundlab.realizability import least_distinguishing_fn
 from boundlab.seq_opens import BasicOpen, Open, Point, is_empty, make_open
 from boundlab.set_opens import PeriodicSet, SetOpen
 from boundlab.terms import RangeTerm
@@ -148,6 +149,35 @@ def brute_v(n: int) -> int:
         if ok:
             return k
     return 0
+
+
+# --- the numbering and the support search, without shortcuts -------------
+
+def decode_reference(code: int) -> Expr:
+    """The numbering read by plain recursion, with no table of known codes."""
+    payload, tag = divmod(code, 12)
+    op = OPS[tag]
+    if op == "arg":
+        return ARG
+    if op == "const":
+        return const(payload)
+    if ARITY[op] == 1:
+        return Expr(op, (decode_reference(payload),))
+    if op == "if0":
+        c, rest = unpair(payload)
+        a, b = unpair(rest)
+        return Expr(op, (decode_reference(c), decode_reference(a), decode_reference(b)))
+    left, right = unpair(payload)
+    return Expr(op, (decode_reference(left), decode_reference(right)))
+
+
+def enumerate_Az_bottom_up(z: Expr, support_bound: int, value_bound: int, budget: int) -> set[int]:
+    """Every m from 0 up, each searched on its own from the first candidate."""
+    out = {0}
+    for m in range(support_bound + 1):
+        if least_distinguishing_fn(z, m, support_bound, value_bound, budget) is not None:
+            out.add(m)
+    return out
 
 
 # --- eventually periodic sets ---------------------------------------------

@@ -246,6 +246,17 @@ def test_ext_commands(tmp_path):
     assert json.loads(res.stdout)["Az"] == [0, 1, 2, 3]
 
 
+def test_ext_az_on_a_deep_program_exits_2():
+    # C is the index of 3,000 nested successors, deeper than the host stack.
+    C = 0
+    for _ in range(3000):
+        C = C * 12 + 2
+    res = run_cli("ext", "az", f"(apply (const {C}) arg)", "--support-bound", "2")
+    assert res.returncode == 2, res.stderr
+    assert res.stdout.count("\n") == 1
+    assert json.loads(res.stdout)["code"] == "BudgetExhausted"
+
+
 def test_usage_errors_exit_64():
     for argv in ([], ["frobnicate"], ["seq"], ["seq", "nonsense"], ["fp", "v"]):
         res = run_cli(*argv)

@@ -1,6 +1,7 @@
 """The two labs: the step-threshold function v and functional probing."""
 
 import random
+import signal
 
 import pytest
 
@@ -22,6 +23,7 @@ from boundlab.machine import (
 )
 from boundlab.realizability import (
     ZERO_FN,
+    ConvergenceCache,
     FiniteSupportFn,
     VTrace,
     apply_functional,
@@ -216,3 +218,28 @@ def test_seq_continuity_bound_no_stabilization():
     gs = [FiniteSupportFn((0,) * n + (1,)).program() for n in range(m + 2)]
     with pytest.raises(NoStabilization):
         seq_continuity_bound(z, gs, ZERO_FN.program(), BIG)
+
+
+def test_nesting_cap_ends_run_to_convergence_at_once():
+    chain = ARG
+    for _ in range(400):
+        chain = node("succ", chain)
+    w = encode(chain)
+    assert eval_profile(chain, 0, 10**9) is None
+
+    def expire(signum, frame):
+        raise TimeoutError("run_to_convergence kept raising the budget")
+
+    cache = ConvergenceCache()
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        with pytest.raises(BudgetExhausted, match="nesting"):
+            cache.run_to_convergence(w, 0)
+        with pytest.raises(BudgetExhausted, match="nesting"):
+            cache.run_to_convergence(w, 0, cap=10**6)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert cache.run(w, 0, 10**12) is None
+    assert cache.run_to_convergence(encode(SUCC), 4) == (6, 5)
