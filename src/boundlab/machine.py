@@ -28,12 +28,12 @@ from math import isqrt
 def pair(a: int, b: int) -> int:
     """Cantor pairing; monotone in both arguments, pair(a,b) >= a, b."""
     s = a + b
-    return s * (s + 1) // 2 + b
+    return (s * s + s >> 1) + b  # s * s takes CPython's faster squaring
 
 
 def unpair(c: int) -> tuple[int, int]:
     s = (isqrt(8 * c + 1) - 1) // 2
-    b = c - s * (s + 1) // 2
+    b = c - (s * s + s >> 1)
     return s - b, b
 
 
@@ -53,6 +53,9 @@ class Expr:
     op: str
     args: tuple[Expr, ...] = ()
     value: int = 0
+    # The node's code, stored by encode when it records the node.  Not a
+    # field, so ==, hash and repr do not see it.
+    _code = None
 
     def __post_init__(self):
         if self.op not in ARITY:
@@ -80,29 +83,35 @@ LOOPER = node("apply", ARG, ARG)
 
 
 # Codes of at least _TABLE_MIN_BITS bits that encode has produced, with their
-# programs, so that decode can skip unpairing them.  The table holds at most
-# _TABLE_MAX_BITS bits of keys and drops the oldest entries first.  Only
-# programs that decode would rebuild field for field go in, so a hit returns
-# an equal program; charges depend on bit lengths alone and do not move.
+# programs, so that decode can skip unpairing them; each code is also stored
+# on its node, so that encode can skip walking below it.  Only programs that
+# decode would rebuild field for field go in, so a hit returns an equal
+# program; charges depend on bit lengths alone and do not move.
 _TABLE_MIN_BITS = 1024
 _TABLE_MAX_BITS = 1 << 23
 _TABLE_MIN_CODE = 1 << (_TABLE_MIN_BITS - 1)  # least code of that many bits
 
 
 class _CodeTable:
+    """Nodes that carry their codes, under any keys, oldest first.  Their
+    codes hold at most _TABLE_MAX_BITS bits in all; the oldest entries make
+    room for new ones."""
+
     __slots__ = ("entries", "bits")
 
     def __init__(self):
-        self.entries: OrderedDict[int, Expr] = OrderedDict()
+        self.entries: OrderedDict[object, Expr] = OrderedDict()
         self.bits = 0
 
-    def add(self, code: int, e: Expr) -> None:
-        bits = code.bit_length()
-        if bits > _TABLE_MAX_BITS or code in self.entries:
+    def add(self, key: object, e: Expr) -> None:
+        """Keep e under key, if e carries a code and key is new."""
+        code = e._code
+        if code is None or key in self.entries:
             return
+        bits = code.bit_length()
         while self.bits + bits > _TABLE_MAX_BITS:
-            self.bits -= self.entries.popitem(last=False)[0].bit_length()
-        self.entries[code] = e
+            self.bits -= self.entries.popitem(last=False)[1]._code.bit_length()
+        self.entries[key] = e
         self.bits += bits
 
 
@@ -122,37 +131,66 @@ def encode(e: Expr) -> int:
     """Canonical index: payload * 12 + tag, payloads paired left to right.
 
     Iterative, so a program's depth is limited by memory, not by the host
-    stack.  Codes big enough for decode's table are recorded there.
+    stack.  Codes big enough for decode's table are recorded there and
+    stored on their nodes; a later encode takes a stored code instead of
+    walking below it.
     """
-    order = []  # every node before its children, last child first
+    return _encode(e, None)
+
+
+def _encode(e: Expr, above: set[int] | None) -> int:
+    """encode, or with `above` (the ids of the nodes above e's first
+    argument node in preorder) the alias code that gives that node 12."""
+    order = []  # every walked node before its children, last child first
     todo = [e]
     while todo:
         n = todo.pop()
         order.append(n)
-        todo.extend(n.args)
-    record = None  # decided once, when the first big code turns up
+        args = n.args
+        if args and (n._code is None or (above and id(n) in above)):
+            todo.extend(args)
+    seek = above is not None  # the alias's argument node is still ahead
+    mark = -1  # where the alias's code sits in codes, once it is made
+    big: list[tuple[Expr, int]] = []  # canonical codes the table may take
     codes: list[int] = []  # finished subtrees, leftmost child deepest
     for n in reversed(order):
-        k = len(n.args)
-        if k == 0:
-            codes.append(n.value * 12 + 1 if n.op == "const" else 0)
+        args = n.args
+        if not args:
+            if n.op == "const":
+                codes.append(n.value * 12 + 1)
+            elif seek:
+                seek = False
+                mark = len(codes)
+                codes.append(12)
+            else:
+                codes.append(0)
             continue
-        if k == 1:
-            payload = codes.pop()
-        elif k == 2:
-            b = codes.pop()
-            payload = pair(codes.pop(), b)
-        else:
-            b = codes.pop()
-            a = codes.pop()
-            payload = pair(codes.pop(), pair(a, b))
-        code = payload * 12 + TAG[n.op]
+        code = n._code
+        if code is None or (above and id(n) in above):
+            k = len(args)
+            if k == 1:
+                payload = codes.pop()
+            elif k == 2:
+                b = codes.pop()
+                payload = pair(codes.pop(), b)
+            else:
+                b = codes.pop()
+                a = codes.pop()
+                payload = pair(codes.pop(), pair(a, b))
+            code = payload * 12 + TAG[n.op]
+            if mark >= len(codes):  # n is above the alias's argument node
+                mark = len(codes)
+                codes.append(code)
+                continue
         if code >= _TABLE_MIN_CODE:
-            if record is None:
-                record = all(map(_decodes_to_itself, order))
-            if record:
-                _CODES.add(code, n)
+            big.append((n, code))
         codes.append(code)
+    # Stored only now, so that a node met twice is walked alike both times.
+    if big and all(map(_decodes_to_itself, order)):
+        for n, code in big:
+            if code.bit_length() <= _TABLE_MAX_BITS:
+                _set_field(n, "_code", code)
+                _CODES.add(code, n)
     return codes[0]
 
 
@@ -216,50 +254,72 @@ def decode(code: int) -> Expr:
 
 
 def format_program(e: Expr) -> str:
-    if e.op == "arg":
-        return "arg"
-    if e.op == "const":
-        return f"(const {e.value})"
-    return "(" + " ".join([e.op] + [format_program(a) for a in e.args]) + ")"
+    out = []
+    todo: list[Expr | str] = [e]  # nodes still to print, and closing text
+    while todo:
+        n = todo.pop()
+        if type(n) is str:
+            out.append(n)
+        elif n.op == "arg":
+            out.append("arg")
+        elif n.op == "const":
+            out.append(f"(const {n.value})")
+        else:
+            out.append("(" + n.op)
+            todo.append(")")
+            for a in reversed(n.args):
+                todo.append(a)
+                todo.append(" ")
+    return "".join(out)
 
 
 def parse_program(text: str) -> Expr:
+    """Read program text; iterative, so nesting depth is limited by memory."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-
-    def parse(pos: int) -> tuple[Expr, int]:
-        if pos >= len(tokens):
+    end = len(tokens)
+    pos = 0
+    open_ops: list[tuple[str, list[Expr]]] = []  # operations still missing arguments
+    while True:
+        if pos >= end:
             raise ValueError("unexpected end of program text")
         tok = tokens[pos]
+        pos += 1
         if tok == "arg":
-            return ARG, pos + 1
-        if tok != "(":
+            e = ARG
+        elif tok != "(":
             raise ValueError(f"unexpected token {tok!r}")
-        pos += 1
-        if pos >= len(tokens):
-            raise ValueError("unexpected end of program text")
-        op = tokens[pos]
-        pos += 1
-        if op == "const":
-            if pos >= len(tokens) or not tokens[pos].isdigit():
+        else:
+            if pos >= end:
+                raise ValueError("unexpected end of program text")
+            op = tokens[pos]
+            pos += 1
+            if op != "const":
+                if op not in ARITY or ARITY[op] == 0:
+                    raise ValueError(f"unknown operation {op!r}")
+                open_ops.append((op, []))
+                continue
+            if pos >= end or not tokens[pos].isdigit():
                 raise ValueError("const needs a numeral")
-            e: Expr = const(int(tokens[pos]))
+            e = const(int(tokens[pos]))
+            pos += 1
+            if pos >= end or tokens[pos] != ")":
+                raise ValueError("missing closing parenthesis")
+            pos += 1
+        # e is complete: hand it up, closing every operation it completes
+        while open_ops:
+            op, args = open_ops[-1]
+            args.append(e)
+            if len(args) < ARITY[op]:
+                break
+            open_ops.pop()
+            e = Expr(op, tuple(args))
+            if pos >= end or tokens[pos] != ")":
+                raise ValueError("missing closing parenthesis")
             pos += 1
         else:
-            if op not in ARITY or ARITY[op] == 0:
-                raise ValueError(f"unknown operation {op!r}")
-            args = []
-            for _ in range(ARITY[op]):
-                sub, pos = parse(pos)
-                args.append(sub)
-            e = Expr(op, tuple(args))
-        if pos >= len(tokens) or tokens[pos] != ")":
-            raise ValueError("missing closing parenthesis")
-        return e, pos + 1
-
-    e, pos = parse(0)
-    if pos != len(tokens):
-        raise ValueError("trailing tokens after program")
-    return e
+            if pos != end:
+                raise ValueError("trailing tokens after program")
+            return e
 
 
 class OutOfFuel(Exception):
@@ -426,33 +486,25 @@ def certificate_for(e: Expr) -> TotalityCertificate:
 def alias_certificate(e: Expr) -> TotalityCertificate | None:
     """A strictly larger, non-canonical certificate for the same program.
 
-    Re-encodes the build with the first argument node carried by payload 1
-    instead of 0; monotonicity of the pairing pushes every enclosing code up,
-    so the alias always exceeds the canonical index.  None if the program
-    has no argument node (or is not certifiable).
+    Re-encodes the build with the first argument node (in preorder) carried
+    by payload 1 instead of 0; monotonicity of the pairing pushes every
+    enclosing code up, so the alias always exceeds the canonical index.  The
+    other subtrees keep their canonical codes, stored ones included; the
+    codes above that node are never stored or recorded.  None if the
+    program has no argument node (or is not certifiable).
     """
     if not apply_free(e):
         return None
-
-    found = [False]
-
-    def rebuild(s: Expr) -> int:
-        if s.op == "arg" and not found[0]:
-            found[0] = True
-            return 12
-        tag = TAG[s.op]
-        if s.op == "arg":
-            return tag
-        if s.op == "const":
-            return s.value * 12 + tag
-        if ARITY[s.op] == 1:
-            return rebuild(s.args[0]) * 12 + tag
-        if s.op == "if0":
-            c, a, b = (rebuild(x) for x in s.args)
-            return pair(c, pair(a, b)) * 12 + tag
-        return pair(rebuild(s.args[0]), rebuild(s.args[1])) * 12 + tag
-
-    j = rebuild(e)
-    if not found[0]:
-        return None
-    return TotalityCertificate(j, encode(e))
+    index = encode(e)
+    todo: list[tuple[Expr, tuple | None]] = [(e, None)]  # a node and its chain of parents
+    while todo:
+        n, up = todo.pop()
+        if n.op == "arg":
+            above = set()
+            while up is not None:
+                parent, up = up
+                above.add(id(parent))
+            return TotalityCertificate(_encode(e, above), index)
+        link = (n, up)
+        todo.extend((a, link) for a in reversed(n.args))
+    return None

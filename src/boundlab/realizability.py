@@ -28,6 +28,7 @@ from .machine import (
     Expr,
     NestingCapped,
     TotalityCertificate,
+    _CodeTable,
     alias_certificate,
     apply_free,
     check_proof,
@@ -228,7 +229,11 @@ class FiniteSupportFn:
         return self.values[i] if i < len(self.values) else 0
 
     def program(self) -> Expr:
-        """Nested zero-test lookup program computing this function."""
+        """Nested zero-test lookup program computing this function (the
+        one index() kept, if it kept one)."""
+        built = _PROGRAMS.entries.get(self.values)
+        if built is not None:
+            return built
         body: Expr = const(0)
         probe: Expr = ARG
         chain: list[tuple[Expr, int]] = []
@@ -240,8 +245,15 @@ class FiniteSupportFn:
         return body
 
     def index(self) -> int:
-        return encode(self.program())
+        prog = self.program()
+        code = encode(prog)
+        _PROGRAMS.add(self.values, prog)
+        return code
 
+
+# Lookup programs by their values, kept when encode has stored their codes
+# on them, so that every later index() of the same function is O(1).
+_PROGRAMS = _CodeTable()
 
 ZERO_FN = FiniteSupportFn(())
 

@@ -171,6 +171,39 @@ def decode_reference(code: int) -> Expr:
     return Expr(op, (decode_reference(left), decode_reference(right)))
 
 
+def cantor_pair(a: int, b: int) -> int:
+    """The textbook Cantor pairing."""
+    return (a + b) * (a + b + 1) // 2 + b
+
+
+def encode_reference(e: Expr, alias: list[bool] | None = None) -> int:
+    """The numbering by plain recursion and the textbook pairing, with no
+    table and no stored codes.  With alias=[False], the first argument node
+    in preorder is coded 12 instead of 0 and alias[0] turns True."""
+    if e.op == "arg":
+        if alias is not None and not alias[0]:
+            alias[0] = True
+            return 12
+        return 0
+    if e.op == "const":
+        return e.value * 12 + 1
+    kids = [encode_reference(a, alias) for a in e.args]
+    if len(kids) == 1:
+        payload = kids[0]
+    elif len(kids) == 2:
+        payload = cantor_pair(*kids)
+    else:
+        payload = cantor_pair(kids[0], cantor_pair(kids[1], kids[2]))
+    return payload * 12 + OPS.index(e.op)
+
+
+def alias_reference(e: Expr) -> int | None:
+    """alias_certificate's derivation code, or None when e has no argument node."""
+    found = [False]
+    code = encode_reference(e, found)
+    return code if found[0] else None
+
+
 def enumerate_Az_bottom_up(z: Expr, support_bound: int, value_bound: int, budget: int) -> set[int]:
     """Every m from 0 up, each searched on its own from the first candidate."""
     out = {0}

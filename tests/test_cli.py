@@ -257,6 +257,15 @@ def test_ext_az_on_a_deep_program_exits_2():
     assert json.loads(res.stdout)["code"] == "BudgetExhausted"
 
 
+def test_ext_az_on_deep_program_text_keeps_the_exit_contract(tmp_path):
+    # 2,000 nested successors: deeper than the host stack when read recursively.
+    prog = write(tmp_path, "deep.txt", "(succ " * 2000 + "arg" + ")" * 2000)
+    res = run_cli("ext", "az", prog, "--support-bound", "1")
+    assert res.returncode in (0, 2), res.stderr
+    assert res.stdout.count("\n") == 1
+    assert isinstance(json.loads(res.stdout), dict)
+
+
 def test_usage_errors_exit_64():
     for argv in ([], ["frobnicate"], ["seq"], ["seq", "nonsense"], ["fp", "v"]):
         res = run_cli(*argv)
