@@ -37,6 +37,43 @@ def unpair(c: int) -> tuple[int, int]:
     return s - b, b
 
 
+# Below this many bits _sqrtrem is isqrt and one squaring; above it, the
+# recursion's half-size division beats isqrt's, whose cost in CPython grows
+# quadratically with the size of the number.
+_SQRT_FLOOR_BITS = 4096
+
+
+def _sqrtrem(n: int) -> tuple[int, int]:
+    """(s, n - s*s) with s = isqrt(n), by Zimmermann's Karatsuba square root
+    (INRIA RR-3805): the root of the top half, then one division of half the
+    size.  The top half keeps at least 2k bits, so its root is at least
+    2**(k-1) and one correction suffices."""
+    bits = n.bit_length()
+    if bits < _SQRT_FLOOR_BITS:
+        s = isqrt(n)
+        return s, n - s * s
+    k = bits >> 2
+    mask = (1 << k) - 1
+    s1, r1 = _sqrtrem(n >> 2 * k)
+    q, u = divmod(r1 << k | (n >> k) & mask, s1 << 1)
+    s = (s1 << k) + q
+    r = (u << k | n & mask) - q * q
+    if r < 0:
+        r += 2 * s - 1
+        s -= 1
+    return s, r
+
+
+def _unpair_big(c: int) -> tuple[int, int]:
+    """unpair, with the pair read off the remainder of one exact square
+    root: 8c + 1 - t*t is 8b when t = 2s + 1, and 8b - 2t + 1 when
+    t = 2s + 2, so no second squaring is needed."""
+    t, r = _sqrtrem(8 * c + 1)
+    s = (t - 1) >> 1
+    b = r >> 3 if t & 1 else (r + 2 * t - 1) >> 3
+    return s - b, b
+
+
 OPS = (
     "arg", "const", "succ", "pred", "pair", "fst", "snd",
     "comp", "if0", "primrec", "bmin", "apply",
@@ -212,20 +249,24 @@ def decode(code: int) -> Expr:
     """Total inverse-ish of encode: every natural is some program.
 
     Iterative like encode; codes encode has recorded are looked up instead
-    of unpaired.
+    of unpaired, and the payloads of other codes of that size are split by
+    _unpair_big.
     """
     if code < 0:
         raise ValueError("indices are naturals")
     table = _CODES.entries
+    small = unpair  # a local, so that choosing the split costs small codes little
     order: list[Expr | str] = []  # finished leaves, or the op of an inner node
     todo = [code]
     while todo:
         c = todo.pop()
+        split = small
         if c >= _TABLE_MIN_CODE:
             hit = table.get(c)
             if hit is not None:
                 order.append(hit)
                 continue
+            split = _unpair_big
         payload, tag = divmod(c, 12)
         if tag == 0:
             order.append(ARG)
@@ -237,11 +278,11 @@ def decode(code: int) -> Expr:
             if ARITY[op] == 1:
                 todo.append(payload)
             elif op == "if0":
-                cond, rest = unpair(payload)
+                cond, rest = split(payload)
                 todo.append(cond)
-                todo.extend(unpair(rest))
+                todo.extend(split(rest))
             else:
-                todo.extend(unpair(payload))
+                todo.extend(split(payload))
     built: list[Expr] = []  # finished subtrees, leftmost child deepest
     for item in reversed(order):
         if type(item) is str:

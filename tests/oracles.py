@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import random
 from itertools import product
+from math import isqrt
 
-from boundlab.machine import ARG, ARITY, OPS, Expr, apply_free, const, decode, encode, eval_profile, unpair
+from boundlab.machine import ARG, ARITY, OPS, Expr, apply_free, const, decode, encode, eval_profile
 from boundlab.realizability import least_distinguishing_fn
 from boundlab.seq_opens import BasicOpen, Open, Point, is_empty, make_open
 from boundlab.set_opens import PeriodicSet, SetOpen
@@ -153,6 +154,13 @@ def brute_v(n: int) -> int:
 
 # --- the numbering and the support search, without shortcuts -------------
 
+def unpair_reference(c: int) -> tuple[int, int]:
+    """Cantor unpairing by one isqrt and one squaring, as `unpair` does it."""
+    s = (isqrt(8 * c + 1) - 1) // 2
+    b = c - (s * s + s >> 1)
+    return s - b, b
+
+
 def decode_reference(code: int) -> Expr:
     """The numbering read by plain recursion, with no table of known codes."""
     payload, tag = divmod(code, 12)
@@ -164,10 +172,10 @@ def decode_reference(code: int) -> Expr:
     if ARITY[op] == 1:
         return Expr(op, (decode_reference(payload),))
     if op == "if0":
-        c, rest = unpair(payload)
-        a, b = unpair(rest)
+        c, rest = unpair_reference(payload)
+        a, b = unpair_reference(rest)
         return Expr(op, (decode_reference(c), decode_reference(a), decode_reference(b)))
-    left, right = unpair(payload)
+    left, right = unpair_reference(payload)
     return Expr(op, (decode_reference(left), decode_reference(right)))
 
 

@@ -19,7 +19,7 @@ from boundlab.machine import (
 )
 from boundlab.realizability import FiniteSupportFn
 
-from oracles import decode_reference
+from oracles import decode_reference, encode_reference, unpair_reference
 
 SETTINGS = settings(max_examples=120, deadline=None, database=None, derandomize=True)
 
@@ -161,3 +161,36 @@ def test_deep_programs_round_trip_without_the_host_stack():
     machine._CODES.bits = 0
     assert fields(decode(code)) == fields(deep)
     assert machine.apply_free(deep)
+
+
+def test_non_canonical_big_codes_are_split_honestly(fresh_table, monkeypatch):
+    """Codes that miss the table and are at least _TABLE_MIN_CODE are split
+    by _unpair_big, and an if0 payload is split twice on that path; nothing
+    non-canonical is ever recorded."""
+    body = FiniteSupportFn((0, 0, 0, 0, 0, 0, 1)).program()
+    other = FiniteSupportFn((0, 0, 0, 0, 0, 2)).program()
+    split = []
+    unpair_big = machine._unpair_big
+
+    def counted(c):
+        split.append(c)
+        return unpair_big(c)
+
+    monkeypatch.setattr(machine, "_unpair_big", counted)
+    for program in (body, node("if0", ARG, body, other)):
+        cert = alias_certificate(program)
+        assert cert.derivation >= machine._TABLE_MIN_CODE
+        fresh_table.entries.clear()
+        fresh_table.bits = 0
+        split.clear()
+        assert fields(decode(cert.derivation)) == fields(decode_reference(cert.derivation))
+        payload = cert.derivation // 12
+        assert split[0] == payload
+        if program.op == "if0":
+            assert split[1] == unpair_reference(payload)[1]
+        fresh_table.entries.clear()
+        fresh_table.bits = 0
+        assert check_proof(cert.derivation, cert.index)
+        assert fresh_table.entries and cert.derivation not in fresh_table.entries
+        for code, e in fresh_table.entries.items():
+            assert e._code == code == encode_reference(e)
