@@ -31,12 +31,6 @@ def pair(a: int, b: int) -> int:
     return (s * s + s >> 1) + b  # s * s takes CPython's faster squaring
 
 
-def unpair(c: int) -> tuple[int, int]:
-    s = (isqrt(8 * c + 1) - 1) // 2
-    b = c - (s * s + s >> 1)
-    return s - b, b
-
-
 # Below this many bits _sqrtrem is isqrt and one squaring; above it, the
 # recursion's half-size division beats isqrt's, whose cost in CPython grows
 # quadratically with the size of the number.
@@ -64,10 +58,10 @@ def _sqrtrem(n: int) -> tuple[int, int]:
     return s, r
 
 
-def _unpair_big(c: int) -> tuple[int, int]:
-    """unpair, with the pair read off the remainder of one exact square
-    root: 8c + 1 - t*t is 8b when t = 2s + 1, and 8b - 2t + 1 when
-    t = 2s + 2, so no second squaring is needed."""
+def unpair(c: int) -> tuple[int, int]:
+    """Cantor unpairing, read off the remainder of one exact square root:
+    8c + 1 - t*t is 8b when t = 2s + 1, and 8b - 2t + 1 when t = 2s + 2,
+    so no second squaring is needed."""
     t, r = _sqrtrem(8 * c + 1)
     s = (t - 1) >> 1
     b = r >> 3 if t & 1 else (r + 2 * t - 1) >> 3
@@ -249,24 +243,20 @@ def decode(code: int) -> Expr:
     """Total inverse-ish of encode: every natural is some program.
 
     Iterative like encode; codes encode has recorded are looked up instead
-    of unpaired, and the payloads of other codes of that size are split by
-    _unpair_big.
+    of unpaired.
     """
     if code < 0:
         raise ValueError("indices are naturals")
     table = _CODES.entries
-    small = unpair  # a local, so that choosing the split costs small codes little
     order: list[Expr | str] = []  # finished leaves, or the op of an inner node
     todo = [code]
     while todo:
         c = todo.pop()
-        split = small
         if c >= _TABLE_MIN_CODE:
             hit = table.get(c)
             if hit is not None:
                 order.append(hit)
                 continue
-            split = _unpair_big
         payload, tag = divmod(c, 12)
         if tag == 0:
             order.append(ARG)
@@ -278,11 +268,11 @@ def decode(code: int) -> Expr:
             if ARITY[op] == 1:
                 todo.append(payload)
             elif op == "if0":
-                cond, rest = split(payload)
+                cond, rest = unpair(payload)
                 todo.append(cond)
-                todo.extend(split(rest))
+                todo.extend(unpair(rest))
             else:
-                todo.extend(split(payload))
+                todo.extend(unpair(payload))
     built: list[Expr] = []  # finished subtrees, leftmost child deepest
     for item in reversed(order):
         if type(item) is str:

@@ -164,19 +164,18 @@ def test_deep_programs_round_trip_without_the_host_stack():
 
 
 def test_non_canonical_big_codes_are_split_honestly(fresh_table, monkeypatch):
-    """Codes that miss the table and are at least _TABLE_MIN_CODE are split
-    by _unpair_big, and an if0 payload is split twice on that path; nothing
-    non-canonical is ever recorded."""
+    """Codes of at least _TABLE_MIN_CODE that miss the table are split by
+    unpair, an if0 payload twice; nothing non-canonical is ever recorded."""
     body = FiniteSupportFn((0, 0, 0, 0, 0, 0, 1)).program()
     other = FiniteSupportFn((0, 0, 0, 0, 0, 2)).program()
     split = []
-    unpair_big = machine._unpair_big
+    unpair = machine.unpair
 
     def counted(c):
         split.append(c)
-        return unpair_big(c)
+        return unpair(c)
 
-    monkeypatch.setattr(machine, "_unpair_big", counted)
+    monkeypatch.setattr(machine, "unpair", counted)
     for program in (body, node("if0", ARG, body, other)):
         cert = alias_certificate(program)
         assert cert.derivation >= machine._TABLE_MIN_CODE

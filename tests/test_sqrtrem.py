@@ -1,5 +1,5 @@
-"""The exact square root with remainder that decode splits big codes by:
-it agrees with isqrt on both sides of its floor, and the pair read off its
+"""The exact square root with remainder that unpair splits codes by: it
+agrees with isqrt on both sides of its floor, and the pair read off its
 remainder is the pair the isqrt formula gives."""
 
 from math import isqrt
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boundlab import machine
-from boundlab.machine import _sqrtrem, _unpair_big, alias_certificate
+from boundlab.machine import _sqrtrem, alias_certificate, unpair
 from boundlab.realizability import FiniteSupportFn
 
 from oracles import cantor_pair, unpair_reference
@@ -62,16 +62,16 @@ def test_sqrtrem_of_small_numbers():
 
 @SETTINGS
 @given(roots)
-def test_unpair_big_is_the_isqrt_unpairing(x):
-    assert _unpair_big(x) == unpair_reference(x)
+def test_unpair_is_the_isqrt_unpairing(x):
+    assert unpair(x) == unpair_reference(x)
     # (x, 0) and (0, x) are T(x) and T(x + 1) - 1, the ends of a diagonal
     for a, b in ((x, 0), (0, x), (x, x)):
-        assert _unpair_big(cantor_pair(a, b)) == unpair_reference(cantor_pair(a, b)) == (a, b)
+        assert unpair(cantor_pair(a, b)) == unpair_reference(cantor_pair(a, b)) == (a, b)
 
 
-def test_unpair_big_of_small_codes():
+def test_unpair_of_small_codes():
     for c in range(5000):
-        assert _unpair_big(c) == unpair_reference(c)
+        assert unpair(c) == unpair_reference(c)
 
 
 def test_the_alias_payload_of_ext_probe():
@@ -80,8 +80,8 @@ def test_the_alias_payload_of_ext_probe():
     assert payload.bit_length() > 170_000
     n = 8 * payload + 1
     assert _sqrtrem(n) == sqrtrem_reference(n)
-    left, right = _unpair_big(payload)
+    left, right = unpair(payload)
     assert (left, right) == unpair_reference(payload)
     assert cantor_pair(left, right) == payload
     for half in (left, right):
-        assert _unpair_big(half) == unpair_reference(half)
+        assert unpair(half) == unpair_reference(half)
