@@ -31,17 +31,54 @@ def pair(a: int, b: int) -> int:
     return (s * s + s >> 1) + b  # s * s takes CPython's faster squaring
 
 
-# Below this many bits _sqrtrem is isqrt and one squaring; above it, the
-# recursion's half-size division beats isqrt's, whose cost in CPython grows
-# quadratically with the size of the number.
+# Below this many bits _sqrtrem is isqrt and one squaring, and _div2n1n is
+# divmod; above it, the recursions beat isqrt's and divmod's schoolbook
+# division, whose cost in CPython 3.11 grows quadratically with the size.
 _SQRT_FLOOR_BITS = 4096
+
+
+def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:
+    """divmod(a, b) for a b of exactly n bits and a < 2**n * b, by
+    Burnikel and Ziegler's recursive division (MPI-I-98-1-022): two
+    divisions of 3 half-size digits by 2, each of which divides 2 digits
+    by 1 one level down."""
+    if n <= _SQRT_FLOOR_BITS:
+        return divmod(a, b)
+    pad = n & 1  # halves must be whole: scale an odd n up by one bit
+    if pad:
+        a <<= 1
+        b <<= 1
+        n += 1
+    h = n >> 1
+    mask = (1 << h) - 1
+    b1, b2 = b >> h, b & mask
+    q1, r = _div3n2n(a >> n, a >> h & mask, b, b1, b2, h)
+    q2, r = _div3n2n(r, a & mask, b, b1, b2, h)
+    return q1 << h | q2, r >> pad
+
+
+def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, h: int) -> tuple[int, int]:
+    """divmod(a12 << h | a3, b) for b = b1 << h | b2 with b1 of exactly h
+    bits and a12 < b: the quotient of the top digits by b1, corrected by at
+    most two steps down."""
+    if a12 >> h == b1:  # the estimate would be 2**h or more: take the largest digit
+        q, r = (1 << h) - 1, a12 - (b1 << h) + b1
+    else:
+        q, r = _div2n1n(a12, b1, h)
+    r = (r << h | a3) - q * b2
+    while r < 0:
+        q -= 1
+        r += b
+    return q, r
 
 
 def _sqrtrem(n: int) -> tuple[int, int]:
     """(s, n - s*s) with s = isqrt(n), by Zimmermann's Karatsuba square root
     (INRIA RR-3805): the root of the top half, then one division of half the
     size.  The top half keeps at least 2k bits, so its root is at least
-    2**(k-1) and one correction suffices."""
+    2**(k-1) and one correction suffices; since the remainder r1 is at most
+    2*s1, the dividend is below 2**m times the m-bit divisor 2*s1, as
+    _div2n1n needs."""
     bits = n.bit_length()
     if bits < _SQRT_FLOOR_BITS:
         s = isqrt(n)
@@ -49,7 +86,8 @@ def _sqrtrem(n: int) -> tuple[int, int]:
     k = bits >> 2
     mask = (1 << k) - 1
     s1, r1 = _sqrtrem(n >> 2 * k)
-    q, u = divmod(r1 << k | (n >> k) & mask, s1 << 1)
+    d = s1 << 1
+    q, u = _div2n1n(r1 << k | (n >> k) & mask, d, d.bit_length())
     s = (s1 << k) + q
     r = (u << k | n & mask) - q * q
     if r < 0:
@@ -84,9 +122,11 @@ class Expr:
     op: str
     args: tuple[Expr, ...] = ()
     value: int = 0
-    # The node's code, stored by encode when it records the node.  Not a
-    # field, so ==, hash and repr do not see it.
+    # The node's code, stored by encode when it records the node, and its
+    # alias certificate, stored by alias_certificate on nodes that carry a
+    # code.  Not fields, so ==, hash and repr do not see them.
     _code = None
+    _alias = None
 
     def __post_init__(self):
         if self.op not in ARITY:
@@ -522,8 +562,13 @@ def alias_certificate(e: Expr) -> TotalityCertificate | None:
     enclosing code up, so the alias always exceeds the canonical index.  The
     other subtrees keep their canonical codes, stored ones included; the
     codes above that node are never stored or recorded.  None if the
-    program has no argument node (or is not certifiable).
+    program has no argument node (or is not certifiable).  The certificate
+    is kept on e when encode has stored e's code, so that e and every node
+    below it decode to themselves; it is never recorded for decode.
     """
+    cert = e._alias
+    if cert is not None:
+        return cert
     if not apply_free(e):
         return None
     index = encode(e)
@@ -535,7 +580,10 @@ def alias_certificate(e: Expr) -> TotalityCertificate | None:
             while up is not None:
                 parent, up = up
                 above.add(id(parent))
-            return TotalityCertificate(_encode(e, above), index)
+            cert = TotalityCertificate(_encode(e, above), index)
+            if e._code is not None:
+                _set_field(e, "_alias", cert)
+            return cert
         link = (n, up)
         todo.extend((a, link) for a in reversed(n.args))
     return None

@@ -72,6 +72,17 @@ def test_nonstar_nodes_examples():
     assert nonstar_nodes(tree, outside, 0) == []
 
 
+def test_nonstar_nodes_rejects_depth_above_stem_for_every_oracle():
+    q = make_open(2, [1, 0], 2, 1)
+    tree = BoundedTree(q, 3)
+    sparse = StarOracle({0: 1}, {(0, (1,)): False}, default_star=True)
+    full = StarOracle({0: 1}, {(0, (v,)): v != 1 for v in range(3)})
+    for oracle in (sparse, all_star_oracle({0: 1}), full):
+        with pytest.raises(ValueError, match="depth must reach the ambient stem"):
+            nonstar_nodes(tree, oracle, 0)
+    assert level_count(tree, 1) == 1  # unchanged: the pinned stem node
+
+
 def test_nonstar_nodes_requires_total_labels():
     q = make_open(0, [], 1, 1)
     tree = BoundedTree(q, 2)
