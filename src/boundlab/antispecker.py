@@ -90,10 +90,11 @@ def level_count(tree: BoundedTree, depth: int) -> int:
 def _nonstar(oracle: StarOracle, n: int, depth: int, walk: BasicOpen, cap: int | None) -> Iterator[Node]:
     """Candidate depth-`depth` nodes labeled non-star for index n: the listed
     ones, or, under total labels, `walk`'s nodes asked about in order."""
-    nodes = _level(walk, depth, cap)  # raises below the stem, whatever the oracle
+    if depth < walk.stem:
+        raise ValueError("depth must reach the ambient stem")
     if oracle.default_star:
         return (node for node in oracle.nonstar_listed(n) if len(node) == depth)
-    return (node for node in nodes if not oracle.is_star(n, node))
+    return (node for node in _level(walk, depth, cap) if not oracle.is_star(n, node))
 
 
 def nonstar_nodes(tree: BoundedTree, oracle: StarOracle, n: int) -> list[Node]:

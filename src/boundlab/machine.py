@@ -122,11 +122,9 @@ class Expr:
     op: str
     args: tuple[Expr, ...] = ()
     value: int = 0
-    # The node's code, stored by encode when it records the node, and its
-    # alias certificate, stored by alias_certificate on nodes that carry a
-    # code.  Not fields, so ==, hash and repr do not see them.
+    # The node's code, stored by encode when it records the node.  Not a
+    # field, so ==, hash and repr do not see it.
     _code = None
-    _alias = None
 
     def __post_init__(self):
         if self.op not in ARITY:
@@ -562,13 +560,8 @@ def alias_certificate(e: Expr) -> TotalityCertificate | None:
     enclosing code up, so the alias always exceeds the canonical index.  The
     other subtrees keep their canonical codes, stored ones included; the
     codes above that node are never stored or recorded.  None if the
-    program has no argument node (or is not certifiable).  The certificate
-    is kept on e when encode has stored e's code, so that e and every node
-    below it decode to themselves; it is never recorded for decode.
+    program has no argument node (or is not certifiable).
     """
-    cert = e._alias
-    if cert is not None:
-        return cert
     if not apply_free(e):
         return None
     index = encode(e)
@@ -580,10 +573,7 @@ def alias_certificate(e: Expr) -> TotalityCertificate | None:
             while up is not None:
                 parent, up = up
                 above.add(id(parent))
-            cert = TotalityCertificate(_encode(e, above), index)
-            if e._code is not None:
-                _set_field(e, "_alias", cert)
-            return cert
+            return TotalityCertificate(_encode(e, above), index)
         link = (n, up)
         todo.extend((a, link) for a in reversed(n.args))
     return None

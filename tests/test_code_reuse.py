@@ -15,7 +15,6 @@ from boundlab.machine import (
     apply_free,
     check_proof,
     const,
-    decode,
     encode,
     format_program,
     node,
@@ -172,41 +171,6 @@ def test_alias_of_a_shared_subtree():
         assert cert == TotalityCertificate(alias_reference(whole), encode_reference(whole))
         check_stored_codes(whole)
     assert inner._code == encode_reference(inner)
-
-
-def test_a_second_alias_is_the_kept_one():
-    program = FiniteSupportFn((0,) * 6 + (1,)).program()
-    first = alias_certificate(program)
-    second = alias_certificate(program)
-    assert second is first
-    assert first == TotalityCertificate(alias_reference(program), encode_reference(program))
-    assert first.derivation not in machine._CODES.entries
-    assert all(n._alias is None for n in nodes(program)[1:])
-
-
-def test_only_nodes_that_decode_to_themselves_keep_an_alias():
-    big = FiniteSupportFn((0, 0, 0, 0, 0, 1)).program()
-    encode(big)  # big carries its code from here on
-    small = node("pair", ARG, const(3))
-    listed = Expr("if0", [ARG, const(0), big])
-    stray = Expr("succ", (big,), 7)
-    assert encode(small).bit_length() < machine._TABLE_MIN_BITS
-    for e in (small, listed, stray, big):
-        cert = alias_certificate(e)
-        assert cert == TotalityCertificate(alias_reference(e), encode_reference(e))
-        assert alias_certificate(e) == cert
-        assert cert.derivation not in machine._CODES.entries
-        assert ("_alias" in vars(e)) == (e is big)
-
-
-def test_a_kept_alias_is_checked_without_the_table(monkeypatch):
-    program = FiniteSupportFn((0,) * 6 + (1,)).program()
-    cert = alias_certificate(program)
-    assert alias_certificate(program) is cert
-    monkeypatch.setattr(machine, "_CODES", machine._CodeTable())
-    assert check_proof(cert.derivation, cert.index)
-    assert not check_proof(cert.derivation, cert.index + 1)
-    assert decode(cert.derivation) == program
 
 
 def test_alias_of_a_deep_program_without_the_host_stack():
