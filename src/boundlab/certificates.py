@@ -7,6 +7,9 @@ verifier replays the construction from the recorded inputs and demands a
 bit-exact match; before replaying it also re-checks the cheap per-row
 facts in the trace, so a tampered artifact fails even when the mismatch
 sits inside the trace rather than the outputs.
+
+Only the ``fp.scenario`` paths import the machine and its labs, so building
+or replaying any other certificate leaves them unloaded.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from typing import Any, Callable
 from .antispecker import escape_trace
 from .errors import BadCertificate, DomainError, EmptyOpenError
 from .fusion import bound_range_term, bound_range_term_at, dc_chain, fuse_pseudobound
-from .machine import check_proof, encode, format_program, parse_program
-from .realizability import pseudobound_scenario, random_scenario
 from .seq_opens import BasicOpen, compatible_nodes
 from .serialize import (
     FormatError,
@@ -115,6 +116,9 @@ def _build_as_schedule(inputs: dict) -> dict:
 
 
 def _build_fp_scenario(inputs: dict) -> dict:
+    from .machine import format_program
+    from .realizability import pseudobound_scenario, random_scenario
+
     seed = inputs.get("seed", 0)
     _expect(isinstance(seed, int), "field 'seed' must be an integer")
     count = _nat_field(inputs, "count")
@@ -177,6 +181,8 @@ def _check_rows(cert: dict) -> None:
         if not trace.get("chain"):
             raise BadCertificate("empty derivation chain")
     elif op == "fp.scenario":
+        from .machine import check_proof, encode, parse_program
+
         for row in trace.get("scenarios", []):
             x = parse_program(row["program"])
             if encode(x) != row["index"]:

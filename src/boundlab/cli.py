@@ -3,7 +3,11 @@
 All results are printed as canonical JSON (sorted keys) on stdout.  Exit
 codes: 0 on success, 2 on domain errors (with a ``{code, message}``
 object), 64 on usage errors such as unknown subcommands, 65 on unreadable
-or malformed input files.
+or malformed input files.  Naturals print in full: the interpreter's limit
+on integer string conversion is lifted while ``main`` runs.
+
+Each handler imports the layers it runs, so a process loads only what its
+command needs.
 """
 
 from __future__ import annotations
@@ -14,11 +18,7 @@ import os
 import sys
 from typing import Any
 
-from .certificates import build, verify
 from .errors import DomainError, EmptyOpenError
-from .machine import encode, format_program, parse_program
-from .realizability import enumerate_Az, make_F_beta, unbounded_witness, v
-from .seq_opens import force_value_into_range, intersect, is_empty, member, split
 from .serialize import (
     FormatError,
     dumps,
@@ -29,7 +29,6 @@ from .serialize import (
     setopen_from_json,
     setopen_to_json,
 )
-from .set_opens import intersect_set, member_set, sequential_bound
 
 
 class UsageError(Exception):
@@ -54,6 +53,8 @@ def _load_dict(path: str) -> dict:
 
 
 def _load_program(arg: str):
+    from .machine import parse_program
+
     text = arg
     if os.path.exists(arg):
         with open(arg, encoding="utf-8") as fh:
@@ -67,12 +68,16 @@ def _load_program(arg: str):
 # --- handlers -------------------------------------------------------------
 
 def _seq_intersect(args) -> Any:
+    from .seq_opens import intersect
+
     a = open_from_json(_load_json(args.a))
     b = open_from_json(_load_json(args.b))
     return open_to_json(intersect(a, b))
 
 
 def _seq_split(args) -> Any:
+    from .seq_opens import is_empty, split
+
     r = open_from_json(_load_json(args.open))
     if is_empty(r):
         raise EmptyOpenError("cannot split the empty open")
@@ -82,17 +87,23 @@ def _seq_split(args) -> Any:
 
 
 def _seq_member(args) -> Any:
+    from .seq_opens import member
+
     o = open_from_json(_load_json(args.open))
     f = point_from_json(_load_json(args.point))
     return {"member": member(f, o)}
 
 
 def _seq_force_range(args) -> Any:
+    from .seq_opens import force_value_into_range
+
     p = open_from_json(_load_json(args.open))
     return open_to_json(force_value_into_range(p, args.value))
 
 
 def _fuse_bound(args) -> Any:
+    from .certificates import build
+
     inputs = {
         "p": _load_json(args.p),
         "term": _load_json(args.term),
@@ -104,10 +115,14 @@ def _fuse_bound(args) -> Any:
 
 
 def _fuse_pseudo(args) -> Any:
+    from .certificates import build
+
     return build("fuse.pseudo", _load_dict(args.job))
 
 
 def _fuse_dc(args) -> Any:
+    from .certificates import build
+
     inputs = {
         "p": _load_json(args.p),
         "start": args.start,
@@ -118,18 +133,24 @@ def _fuse_dc(args) -> Any:
 
 
 def _set_intersect(args) -> Any:
+    from .set_opens import intersect_set
+
     a = setopen_from_json(_load_json(args.a))
     b = setopen_from_json(_load_json(args.b))
     return setopen_to_json(intersect_set(a, b))
 
 
 def _set_member(args) -> Any:
+    from .set_opens import member_set
+
     X = pset_from_json(_load_json(args.point))
     O = setopen_from_json(_load_json(args.open))
     return {"member": member_set(X, O)}
 
 
 def _set_seqbound(args) -> Any:
+    from .set_opens import sequential_bound
+
     job = _load_dict(args.job)
     if "open" not in job:
         raise FormatError("job is missing field 'open'")
@@ -146,6 +167,8 @@ def _set_seqbound(args) -> Any:
 
 
 def _as_schedule(args) -> Any:
+    from .certificates import build
+
     inputs = {
         "q": _load_json(args.q),
         "oracle": _load_json(args.oracle),
@@ -156,6 +179,8 @@ def _as_schedule(args) -> Any:
 
 
 def _fp_v(args) -> Any:
+    from .realizability import v
+
     return [
         {"n": t.n, "qualifying_ks": list(t.qualifying_ks), "value": t.value}
         for t in (v(n) for n in range(args.max_n + 1))
@@ -163,10 +188,14 @@ def _fp_v(args) -> Any:
 
 
 def _fp_witness(args) -> Any:
+    from .realizability import unbounded_witness
+
     return {"k": args.k, "witness": unbounded_witness(args.k)}
 
 
 def _fp_scenario(args) -> Any:
+    from .certificates import build
+
     inputs = {"seed": args.seed, "count": args.count, "window": args.window}
     if args.budget is not None:
         inputs["budget"] = args.budget
@@ -174,6 +203,9 @@ def _fp_scenario(args) -> Any:
 
 
 def _ext_az(args) -> Any:
+    from .machine import format_program
+    from .realizability import enumerate_Az
+
     z = _load_program(args.program)
     budget = args.budget if args.budget is not None else 1_000_000
     A = enumerate_Az(z, args.support_bound, args.value_bound, budget)
@@ -181,6 +213,9 @@ def _ext_az(args) -> Any:
 
 
 def _ext_fbeta(args) -> Any:
+    from .machine import encode, format_program
+    from .realizability import enumerate_Az, make_F_beta
+
     beta = _load_program(args.beta)
     F = make_F_beta(beta, args.m)
     support = args.support_bound if args.support_bound is not None else args.m + 2
@@ -196,6 +231,8 @@ def _ext_fbeta(args) -> Any:
 
 
 def _verify(args) -> Any:
+    from .certificates import verify
+
     cert = _load_json(args.certificate)
     verify(cert)
     op = cert.get("operation") if isinstance(cert, dict) else None
@@ -277,6 +314,17 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if not hasattr(sys, "set_int_max_str_digits"):  # 3.10 before 3.10.7: no limit
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -6,17 +6,21 @@ raising :class:`FormatError` on malformed payloads (the CLI turns those
 into its dedicated exit code).  Semantic validation stays with the
 constructors: a well-formed payload describing, say, a non-monotone
 schedule fails in the domain layer, not here.
+
+Each codec imports the layer whose type it reads or writes when it runs,
+so a command that only prints JSON loads no layer through this module.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .antispecker import StarOracle
-from .seq_opens import EMPTY, BasicOpen, Open, Point, is_nat, make_open
-from .set_opens import PeriodicSet, SetOpen, set_open
-from .terms import RangeTerm
+if TYPE_CHECKING:
+    from .antispecker import StarOracle
+    from .seq_opens import Open, Point
+    from .set_opens import PeriodicSet, SetOpen
+    from .terms import RangeTerm
 
 
 class FormatError(ValueError):
@@ -29,6 +33,8 @@ def _expect(cond: bool, what: str) -> None:
 
 
 def _nat_field(d: dict, key: str) -> int:
+    from .seq_opens import is_nat
+
     _expect(key in d, f"missing field {key!r}")
     x = d[key]
     _expect(is_nat(x), f"field {key!r} must be a natural")
@@ -36,6 +42,8 @@ def _nat_field(d: dict, key: str) -> int:
 
 
 def _nat_list(xs: Any, what: str) -> list[int]:
+    from .seq_opens import is_nat
+
     _expect(isinstance(xs, list), f"{what} must be a list")
     for x in xs:
         _expect(is_nat(x), f"{what} entries must be naturals")
@@ -50,6 +58,8 @@ def _dict(d: Any, what: str) -> dict:
 # --- basic opens and points ----------------------------------------------
 
 def open_to_json(o: Open) -> dict:
+    from .seq_opens import BasicOpen
+
     if not isinstance(o, BasicOpen):
         return {"empty": True}
     return {
@@ -61,6 +71,8 @@ def open_to_json(o: Open) -> dict:
 
 
 def open_from_json(d: Any) -> Open:
+    from .seq_opens import EMPTY, make_open
+
     d = _dict(d, "open")
     if d.get("empty"):
         return EMPTY
@@ -77,6 +89,8 @@ def point_to_json(f: Point) -> dict:
 
 
 def point_from_json(d: Any) -> Point:
+    from .seq_opens import Point
+
     d = _dict(d, "point")
     return Point(tuple(_nat_list(d.get("prefix", []), "prefix")), _nat_field(d, "tail_value"))
 
@@ -97,6 +111,8 @@ def pset_to_json(X: PeriodicSet) -> dict:
 
 
 def pset_from_json(d: Any) -> PeriodicSet:
+    from .set_opens import PeriodicSet
+
     d = _dict(d, "periodic set")
     prefix = _str_to_bits(d.get("prefix_bits", ""), "prefix_bits")
     _expect("period_bits" in d, "missing field 'period_bits'")
@@ -110,6 +126,8 @@ def setopen_to_json(O: SetOpen) -> dict:
 
 
 def setopen_from_json(d: Any) -> SetOpen:
+    from .set_opens import set_open
+
     d = _dict(d, "set open")
     P = _nat_list(d.get("P", []), "P")
     _expect("N" in d, "missing field 'N'")
@@ -127,6 +145,8 @@ def range_term_to_json(t: RangeTerm) -> dict:
 
 
 def range_term_from_json(d: Any) -> RangeTerm:
+    from .terms import RangeTerm
+
     d = _dict(d, "range term")
     modulus = _nat_field(d, "modulus")
     rows = d.get("table")
@@ -151,6 +171,8 @@ def oracle_to_json(o: StarOracle) -> dict:
 
 
 def oracle_from_json(d: Any) -> StarOracle:
+    from .antispecker import StarOracle
+
     d = _dict(d, "star oracle")
     raw_levels = d.get("levels")
     _expect(isinstance(raw_levels, list), "field 'levels' must be a list of pairs")

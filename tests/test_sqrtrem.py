@@ -21,6 +21,11 @@ SETTINGS = settings(max_examples=120, deadline=None, database=None, derandomize=
 FLOOR = machine._SQRT_FLOOR_BITS
 
 
+class _PastDeadline(BaseException):
+    """Not an Exception, so hypothesis does not catch it and shrink by
+    running the hanging example again: the test fails at once."""
+
+
 @pytest.fixture(autouse=True)
 def deadline():
     """A division that loops, say through a wrong quotient estimate, fails
@@ -30,7 +35,7 @@ def deadline():
         return
 
     def stop(signum, frame):
-        raise TimeoutError("the test ran past its 60 s deadline")
+        raise _PastDeadline("the test ran past its 60 s deadline")
 
     old = signal.signal(signal.SIGALRM, stop)
     signal.setitimer(signal.ITIMER_REAL, 60)
