@@ -183,14 +183,14 @@ def _fp_v(args) -> Any:
 
     return [
         {"n": t.n, "qualifying_ks": list(t.qualifying_ks), "value": t.value}
-        for t in (v(n) for n in range(args.max_n + 1))
+        for t in (v(n, args.budget) for n in range(args.max_n + 1))
     ]
 
 
 def _fp_witness(args) -> Any:
     from .realizability import unbounded_witness
 
-    return {"k": args.k, "witness": unbounded_witness(args.k)}
+    return {"k": args.k, "witness": unbounded_witness(args.k, args.budget)}
 
 
 def _fp_scenario(args) -> Any:

@@ -138,38 +138,28 @@ def extract_witness(p: Open, oracle: NodeOracle, I: int) -> tuple[BasicOpen, Gua
     """
     if is_empty(p):
         raise EmptyOpenError("cannot extract a witness below the empty open")
-    base = p
-    if I > base.g(base.stem):
-        raise BadCandidate(f"candidate {I} exceeds the schedule value at the stem")
-    depth = _oracle_depth(oracle)
-    parts: list[tuple[BasicOpen, Term]] = []
-    for node in compatible_nodes(base, depth):
-        if node not in oracle:
-            raise OracleNotTotal(f"oracle is missing the compatible node {node}")
-        _value, term = oracle[node]
-        parts.append((restrict_by_seq(base, node), term))
-    return base, amalgamate(parts)
+    return extract_witness_at(p, oracle, I, p.stem)
 
 
 def extract_witness_at(p: Open, oracle: NodeOracle, I: int, M: int) -> tuple[BasicOpen, GuardedTerm]:
-    """Depth-M composition of extract_witness over the depth-M cover of p."""
+    """extract_witness with the candidate checked at position M >= the stem:
+    one amalgamation over the oracle's depth cover, which refines the
+    depth-M cover of p."""
     if is_empty(p):
         raise EmptyOpenError("cannot extract a witness below the empty open")
-    base = p
-    if M < base.stem:
-        raise BadCandidate(f"cut position {M} lies below the stem {base.stem}")
-    if I > base.g(M):
+    if M < p.stem:
+        raise BadCandidate(f"cut position {M} lies below the stem {p.stem}")
+    if I > p.g(M):
         raise BadCandidate(f"candidate {I} exceeds the schedule value at position {M}")
     depth = _oracle_depth(oracle)
     if depth < M:
         raise OracleNotTotal(f"oracle depth {depth} is shallower than the cut position {M}")
     parts: list[tuple[BasicOpen, Term]] = []
-    for sigma in compatible_nodes(base, M):
-        piece = restrict_by_seq(base, sigma)
-        suboracle = {node: oracle[node] for node in compatible_nodes(piece, depth) if node in oracle}
-        _q, guarded = extract_witness(piece, suboracle, I)
-        parts.extend((part.guard, part.body) for part in guarded.parts)
-    return base, amalgamate(parts)
+    for node in compatible_nodes(p, depth):
+        if node not in oracle:
+            raise OracleNotTotal(f"oracle is missing the compatible node {node}")
+        parts.append((restrict_by_seq(p, node), oracle[node][1]))
+    return p, amalgamate(parts)
 
 
 StepOracle = Callable[[int | GuardedTerm, BasicOpen], tuple[Term, int]]

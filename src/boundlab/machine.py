@@ -196,6 +196,15 @@ def _decodes_to_itself(e: Expr) -> bool:
     return e.value == 0
 
 
+def _payload(codes: list[int]) -> int:
+    """The payload that carries a node's child codes, left to right."""
+    if len(codes) == 1:
+        return codes[0]
+    if len(codes) == 2:
+        return pair(codes[0], codes[1])
+    return pair(codes[0], pair(codes[1], codes[2]))
+
+
 def encode(e: Expr) -> int:
     """Canonical index: payload * 12 + tag, payloads paired left to right.
 
@@ -204,53 +213,24 @@ def encode(e: Expr) -> int:
     stored on their nodes; a later encode takes a stored code instead of
     walking below it.
     """
-    return _encode(e, None)
-
-
-def _encode(e: Expr, above: set[int] | None) -> int:
-    """encode, or with `above` (the ids of the nodes above e's first
-    argument node in preorder) the alias code that gives that node 12."""
     order = []  # every walked node before its children, last child first
     todo = [e]
     while todo:
         n = todo.pop()
         order.append(n)
-        args = n.args
-        if args and (n._code is None or (above and id(n) in above)):
-            todo.extend(args)
-    seek = above is not None  # the alias's argument node is still ahead
-    mark = -1  # where the alias's code sits in codes, once it is made
+        if n.args and n._code is None:
+            todo.extend(n.args)
     big: list[tuple[Expr, int]] = []  # canonical codes the table may take
     codes: list[int] = []  # finished subtrees, leftmost child deepest
     for n in reversed(order):
-        args = n.args
-        if not args:
-            if n.op == "const":
-                codes.append(n.value * 12 + 1)
-            elif seek:
-                seek = False
-                mark = len(codes)
-                codes.append(12)
-            else:
-                codes.append(0)
+        k = len(n.args)
+        if not k:
+            codes.append(n.value * 12 + 1 if n.op == "const" else 0)
             continue
         code = n._code
-        if code is None or (above and id(n) in above):
-            k = len(args)
-            if k == 1:
-                payload = codes.pop()
-            elif k == 2:
-                b = codes.pop()
-                payload = pair(codes.pop(), b)
-            else:
-                b = codes.pop()
-                a = codes.pop()
-                payload = pair(codes.pop(), pair(a, b))
-            code = payload * 12 + TAG[n.op]
-            if mark >= len(codes):  # n is above the alias's argument node
-                mark = len(codes)
-                codes.append(code)
-                continue
+        if code is None:
+            code = _payload(codes[-k:]) * 12 + TAG[n.op]
+            del codes[-k:]
         if code >= _TABLE_MIN_CODE:
             big.append((n, code))
         codes.append(code)
@@ -405,11 +385,10 @@ _MAX_DEPTH = 384
 
 
 class _Fuel:
-    __slots__ = ("remaining", "depth")
+    __slots__ = ("remaining",)
 
     def __init__(self, budget: int):
         self.remaining = budget
-        self.depth = 0
 
     def charge(self, result: int) -> int:
         self.remaining -= max(1, result.bit_length())
@@ -427,59 +406,54 @@ class _Fuel:
         return self.charge(pair(a, b))
 
 
-def _eval(e: Expr, z: int, fuel: _Fuel) -> int:
-    fuel.depth += 1
-    if fuel.depth > _MAX_DEPTH:
+def _eval(e: Expr, z: int, fuel: _Fuel, depth: int) -> int:
+    """e's value on z, where depth is e's nesting level: 1 for the run's
+    root, one more than the level of the node whose run holds e's."""
+    if depth > _MAX_DEPTH:
         raise NestingCapped
-    try:
-        return _eval_node(e, z, fuel)
-    finally:
-        fuel.depth -= 1
-
-
-def _eval_node(e: Expr, z: int, fuel: _Fuel) -> int:
     op = e.op
     if op == "arg":
         return fuel.charge(z)
     if op == "const":
         return fuel.charge(e.value)
+    args = e.args
+    depth += 1  # the depth of e's children
     if op == "succ":
-        return fuel.charge(_eval(e.args[0], z, fuel) + 1)
+        return fuel.charge(_eval(args[0], z, fuel, depth) + 1)
     if op == "pred":
-        return fuel.charge(max(_eval(e.args[0], z, fuel) - 1, 0))
+        return fuel.charge(max(_eval(args[0], z, fuel, depth) - 1, 0))
     if op == "pair":
-        a = _eval(e.args[0], z, fuel)
-        b = _eval(e.args[1], z, fuel)
+        a = _eval(args[0], z, fuel, depth)
+        b = _eval(args[1], z, fuel, depth)
         return fuel.charge_pair(a, b)
     if op == "fst":
-        return fuel.charge(unpair(_eval(e.args[0], z, fuel))[0])
+        return fuel.charge(unpair(_eval(args[0], z, fuel, depth))[0])
     if op == "snd":
-        return fuel.charge(unpair(_eval(e.args[0], z, fuel))[1])
+        return fuel.charge(unpair(_eval(args[0], z, fuel, depth))[1])
     if op == "comp":
-        inner = _eval(e.args[1], z, fuel)
-        return fuel.charge(_eval(e.args[0], inner, fuel))
+        inner = _eval(args[1], z, fuel, depth)
+        return fuel.charge(_eval(args[0], inner, fuel, depth))
     if op == "if0":
-        cond = _eval(e.args[0], z, fuel)
-        branch = e.args[1] if cond == 0 else e.args[2]
-        return fuel.charge(_eval(branch, z, fuel))
+        cond = _eval(args[0], z, fuel, depth)
+        return fuel.charge(_eval(args[1] if cond == 0 else args[2], z, fuel, depth))
     if op == "primrec":
-        acc = _eval(e.args[0], 0, fuel)
+        acc = _eval(args[0], 0, fuel, depth)
         for k in range(z):
-            acc = _eval(e.args[1], fuel.charge_pair(k, acc), fuel)
+            acc = _eval(args[1], fuel.charge_pair(k, acc), fuel, depth)
         return fuel.charge(acc)
     if op == "bmin":
-        bound = _eval(e.args[1], z, fuel)
+        bound = _eval(args[1], z, fuel, depth)
         result = bound + 1
         for k in range(bound + 1):
-            if _eval(e.args[0], fuel.charge_pair(k, z), fuel) == 0:
+            if _eval(args[0], fuel.charge_pair(k, z), fuel, depth) == 0:
                 result = k
                 break
         return fuel.charge(result)
     # apply: evaluate both sides, pay to decode the index, run the body
-    w = _eval(e.args[0], z, fuel)
-    x = _eval(e.args[1], z, fuel)
+    w = _eval(args[0], z, fuel, depth)
+    x = _eval(args[1], z, fuel, depth)
     fuel.charge(w)
-    return fuel.charge(_eval(decode(w), x, fuel))
+    return fuel.charge(_eval(decode(w), x, fuel, depth))
 
 
 def eval_outcome(e: Expr, z: int, budget: int) -> tuple[int, int] | None:
@@ -489,7 +463,7 @@ def eval_outcome(e: Expr, z: int, budget: int) -> tuple[int, int] | None:
         return None
     fuel = _Fuel(budget)
     try:
-        value = _eval(e, z, fuel)
+        value = _eval(e, z, fuel, 1)
     except OutOfFuel:
         return None
     return value, budget - fuel.remaining
@@ -557,23 +531,26 @@ def alias_certificate(e: Expr) -> TotalityCertificate | None:
 
     Re-encodes the build with the first argument node (in preorder) carried
     by payload 1 instead of 0; monotonicity of the pairing pushes every
-    enclosing code up, so the alias always exceeds the canonical index.  The
-    other subtrees keep their canonical codes, stored ones included; the
-    codes above that node are never stored or recorded.  None if the
-    program has no argument node (or is not certifiable).
+    enclosing code up, so the alias always exceeds the canonical index.
+    Only the nodes on the path down to that node are paired anew, bottom
+    up; their other children keep their canonical codes from encode,
+    stored ones included, and the codes on the path are never stored or
+    recorded.  None if the program has no argument node (or is not
+    certifiable).
     """
     if not apply_free(e):
         return None
     index = encode(e)
-    todo: list[tuple[Expr, tuple | None]] = [(e, None)]  # a node and its chain of parents
+    # a node, and its chain of links (parent, position under it, parent's chain)
+    todo: list[tuple[Expr, tuple | None]] = [(e, None)]
     while todo:
         n, up = todo.pop()
         if n.op == "arg":
-            above = set()
+            code = 12
             while up is not None:
-                parent, up = up
-                above.add(id(parent))
-            return TotalityCertificate(_encode(e, above), index)
-        link = (n, up)
-        todo.extend((a, link) for a in reversed(n.args))
+                parent, i, up = up
+                kids = [code if j == i else encode(a) for j, a in enumerate(parent.args)]
+                code = _payload(kids) * 12 + TAG[parent.op]
+            return TotalityCertificate(code, index)
+        todo.extend((n.args[i], (n, i, up)) for i in reversed(range(len(n.args))))
     return None

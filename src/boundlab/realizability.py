@@ -120,38 +120,41 @@ def certified_pairs(k: int) -> tuple[tuple[int, int], ...]:
 _QUALIFY_AT: list[int] = [0]
 
 
-def _qualify_threshold(k: int) -> int:
+def _qualify_threshold(k: int, budget_cap: int | None = None) -> int:
     while len(_QUALIFY_AT) <= k:
         kk = len(_QUALIFY_AT)
         worst = -1
         for j, w in certified_pairs(kk):
             for z in range(kk):
-                steps, out = _RUNS.run_to_convergence(w, z)
+                steps, out = _RUNS.run_to_convergence(w, z, cap=budget_cap)
                 worst = max(worst, steps, out)
         _QUALIFY_AT.append(worst + 1)
     return _QUALIFY_AT[k]
 
 
-def v(n: int) -> VTrace:
-    """Largest k < n whose certified runs all land strictly within n."""
+def v(n: int, budget_cap: int | None = None) -> VTrace:
+    """Largest k < n whose certified runs all land strictly within n.
+    BudgetExhausted if a run it waits for does not converge within
+    budget_cap steps."""
     if n < 0:
         raise ValueError("v is defined on naturals")
     k = 0
-    while k + 1 < n and _qualify_threshold(k + 1) <= n:
+    while k + 1 < n and _qualify_threshold(k + 1, budget_cap) <= n:
         k += 1
     qualifying = tuple(range(k + 1)) if n >= 1 else ()
     return VTrace(n, qualifying, k)
 
 
-def unbounded_witness(k: int) -> int:
-    """An n with v(n).value >= k: wait out every certified run below k."""
+def unbounded_witness(k: int, budget_cap: int | None = None) -> int:
+    """An n with v(n).value >= k: wait out every certified run below k.
+    BudgetExhausted if one does not converge within budget_cap steps."""
     worst = k
     for j, w in certified_pairs(k):
         for z in range(k):
-            steps, out = _RUNS.run_to_convergence(w, z)
+            steps, out = _RUNS.run_to_convergence(w, z, cap=budget_cap)
             worst = max(worst, steps, out)
     n_k = worst + 1
-    if _qualify_threshold(k) > n_k or k >= n_k:
+    if _qualify_threshold(k, budget_cap) > n_k or k >= n_k:
         raise AssertionError("witness failed its own verification")
     return n_k
 

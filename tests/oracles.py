@@ -12,7 +12,21 @@ import random
 from itertools import product
 from math import isqrt
 
-from boundlab.machine import ARG, ARITY, OPS, Expr, apply_free, const, decode, encode, eval_profile
+from boundlab.machine import (
+    ARG,
+    ARITY,
+    OPS,
+    Expr,
+    NestingCapped,
+    OutOfFuel,
+    apply_free,
+    const,
+    decode,
+    encode,
+    eval_profile,
+    pair,
+    unpair,
+)
 from boundlab.realizability import least_distinguishing_fn
 from boundlab.seq_opens import BasicOpen, Open, Point, is_empty, make_open
 from boundlab.set_opens import PeriodicSet, SetOpen
@@ -125,6 +139,102 @@ def lowered_windows(o: BasicOpen, t: RangeTerm, I: int, M: int) -> list[tuple[in
         if all(t.value_at(nd) <= I for nd in (tuple(x) for x in product(*node_ranges))):
             out.append(cand)
     return out
+
+
+# --- the machine's evaluator, one frame for the depth and one per node ----
+
+_MAX_DEPTH = 384
+
+
+class _Fuel:
+    __slots__ = ("remaining", "depth")
+
+    def __init__(self, budget: int):
+        self.remaining = budget
+        self.depth = 0
+
+    def charge(self, result: int) -> int:
+        self.remaining -= max(1, result.bit_length())
+        if self.remaining <= 0:
+            raise OutOfFuel
+        return result
+
+    def charge_pair(self, a: int, b: int) -> int:
+        # A pair has about 2*max(bits) bits; refuse to materialize giants the
+        # budget could never pay for.  Triggers only where the exact charge
+        # would exhaust the budget anyway, so observable results are unchanged.
+        hi = max(a.bit_length(), b.bit_length())
+        if hi > 64 and 2 * hi - 2 >= self.remaining:
+            raise OutOfFuel
+        return self.charge(pair(a, b))
+
+
+def _eval(e: Expr, z: int, fuel: _Fuel) -> int:
+    fuel.depth += 1
+    if fuel.depth > _MAX_DEPTH:
+        raise NestingCapped
+    try:
+        return _eval_node(e, z, fuel)
+    finally:
+        fuel.depth -= 1
+
+
+def _eval_node(e: Expr, z: int, fuel: _Fuel) -> int:
+    op = e.op
+    if op == "arg":
+        return fuel.charge(z)
+    if op == "const":
+        return fuel.charge(e.value)
+    if op == "succ":
+        return fuel.charge(_eval(e.args[0], z, fuel) + 1)
+    if op == "pred":
+        return fuel.charge(max(_eval(e.args[0], z, fuel) - 1, 0))
+    if op == "pair":
+        a = _eval(e.args[0], z, fuel)
+        b = _eval(e.args[1], z, fuel)
+        return fuel.charge_pair(a, b)
+    if op == "fst":
+        return fuel.charge(unpair(_eval(e.args[0], z, fuel))[0])
+    if op == "snd":
+        return fuel.charge(unpair(_eval(e.args[0], z, fuel))[1])
+    if op == "comp":
+        inner = _eval(e.args[1], z, fuel)
+        return fuel.charge(_eval(e.args[0], inner, fuel))
+    if op == "if0":
+        cond = _eval(e.args[0], z, fuel)
+        branch = e.args[1] if cond == 0 else e.args[2]
+        return fuel.charge(_eval(branch, z, fuel))
+    if op == "primrec":
+        acc = _eval(e.args[0], 0, fuel)
+        for k in range(z):
+            acc = _eval(e.args[1], fuel.charge_pair(k, acc), fuel)
+        return fuel.charge(acc)
+    if op == "bmin":
+        bound = _eval(e.args[1], z, fuel)
+        result = bound + 1
+        for k in range(bound + 1):
+            if _eval(e.args[0], fuel.charge_pair(k, z), fuel) == 0:
+                result = k
+                break
+        return fuel.charge(result)
+    # apply: evaluate both sides, pay to decode the index, run the body
+    w = _eval(e.args[0], z, fuel)
+    x = _eval(e.args[1], z, fuel)
+    fuel.charge(w)
+    return fuel.charge(_eval(decode(w), x, fuel))
+
+
+def eval_reference(e: Expr, z: int, budget: int) -> tuple[int, int] | None:
+    """eval_outcome with the nesting depth kept on the fuel and restored
+    by a try/finally around every node."""
+    if budget <= 0:
+        return None
+    fuel = _Fuel(budget)
+    try:
+        value = _eval(e, z, fuel)
+    except OutOfFuel:
+        return None
+    return value, budget - fuel.remaining
 
 
 # --- the certified-convergence function, literally ------------------------

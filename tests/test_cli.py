@@ -334,3 +334,19 @@ def test_huge_naturals_round_trip_through_verify(tmp_path):
     res = run_cli("verify", str(cert))
     assert res.returncode == 0, res.stdout + res.stderr
     assert json.loads(res.stdout) == {"ok": True, "operation": "fp.scenario"}
+
+
+def test_fp_commands_honour_the_global_budget():
+    res = run_cli("--budget", "1000", "fp", "witness", "--k", "20")
+    assert res.returncode == 2, res.stdout + res.stderr
+    assert res.stdout.count("\n") == 1
+    assert json.loads(res.stdout)["code"] == "BudgetExhausted"
+
+    res = run_cli("--budget", "100", "fp", "v", "--max-n", "200")
+    assert res.returncode == 2, res.stdout + res.stderr
+    assert json.loads(res.stdout)["code"] == "BudgetExhausted"
+
+    # a budget the runs fit in changes nothing
+    res = run_cli("--budget", "10000", "fp", "witness", "--k", "5")
+    assert res.returncode == 0
+    assert json.loads(res.stdout) == {"k": 5, "witness": unbounded_witness(5)}

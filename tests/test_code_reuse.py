@@ -146,6 +146,19 @@ def test_hand_built_nodes_never_carry_codes():
     assert list(machine._CODES.entries) == before
 
 
+def test_big_constant_leaves_are_never_stored():
+    leaf = const(2**1999 + 5)
+    whole = node("pair", node("succ", leaf), ARG)
+    for _ in range(2):
+        assert encode(whole) == encode_reference(whole)
+        assert encode(leaf) == encode_reference(leaf)
+        assert alias_certificate(whole) == TotalityCertificate(alias_reference(whole), encode_reference(whole))
+    assert "_code" not in vars(leaf)
+    assert all(n is not leaf for n in machine._CODES.entries.values())
+    assert encode_reference(leaf) not in machine._CODES.entries
+    assert whole.args[0]._code == encode_reference(whole.args[0])
+
+
 @SETTINGS
 @given(sized_programs, st.booleans())
 def test_alias_matches_the_reference_and_is_never_stored(e, coded_first):

@@ -13,7 +13,7 @@ from boundlab.fusion import (
     extract_witness_at,
     fuse_pseudobound,
 )
-from boundlab.seq_opens import Point, make_open, member, split, subset
+from boundlab.seq_opens import Point, count_nodes, make_open, member, restrict_by_seq, split, subset
 from boundlab.terms import TermSequence, constant_term, decide_guarded, range_term_from
 
 from oracles import lowered_windows, nodes_brute, random_open, random_range_term
@@ -216,6 +216,42 @@ def test_extract_witness_at_depth_cover():
         assert decide_guarded(restrict_by_seq(q, node), sigma) == sum(node)
     with pytest.raises(OracleNotTotal):
         extract_witness_at(p, {(0,): (0, constant_term(0)), (1,): (1, constant_term(1))}, 1, 2)
+
+
+def test_extract_witness_rejects_an_oracle_shallower_than_the_stem():
+    p = make_open(2, [1, 0], 3, 1)
+    oracle = {(i,): (i, constant_term(i)) for i in range(2)}
+    with pytest.raises(OracleNotTotal):
+        extract_witness(p, oracle, 1)
+
+
+def test_extract_witness_at_is_extract_witness_over_the_cut_cover():
+    """One amalgamation over the oracle's cover gives the parts that
+    amalgamating each depth-M piece on its own gives, in the same order."""
+    rng = random.Random(611)
+    checked = 0
+    while checked < 40:
+        p = random_open(rng, max_stem=2, max_value=3, extra=1, max_slope=1)
+        M = p.stem + rng.randrange(0, 3)
+        depth = M + rng.randrange(0, 2)
+        if count_nodes(p, depth) > 40:
+            continue
+        oracle = {}
+        for nd in nodes_brute(p, depth):
+            value = rng.randrange(4)
+            oracle[nd] = (value, constant_term(value))
+        I = p.g(M)
+        q, sigma = extract_witness_at(p, oracle, I, M)
+        assert q == p
+        parts = []
+        for cut in nodes_brute(p, M):
+            piece = restrict_by_seq(p, cut)
+            sub = {nd: oracle[nd] for nd in nodes_brute(piece, depth)}
+            parts.extend(extract_witness(piece, sub, I)[1].parts)
+        assert sigma.parts == tuple(parts)
+        for nd in nodes_brute(p, depth):
+            assert decide_guarded(restrict_by_seq(p, nd), sigma) == oracle[nd][0]
+        checked += 1
 
 
 def test_dc_chain_successor_example():
