@@ -20,7 +20,7 @@ from typing import Any, Callable
 from .antispecker import escape_trace
 from .errors import BadCertificate, DomainError, EmptyOpenError
 from .fusion import bound_range_term, bound_range_term_at, dc_chain, fuse_pseudobound
-from .seq_opens import BasicOpen, compatible_nodes
+from .seq_opens import BasicOpen, compatible_nodes, is_nat
 from .serialize import (
     FormatError,
     _expect,
@@ -120,12 +120,12 @@ def _build_fp_scenario(inputs: dict) -> dict:
     from .realizability import pseudobound_scenario, random_scenario
 
     seed = inputs.get("seed", 0)
-    _expect(isinstance(seed, int), "field 'seed' must be an integer")
+    _expect(isinstance(seed, int) and not isinstance(seed, bool), "field 'seed' must be an integer")
     count = _nat_field(inputs, "count")
     window = _nat_field(inputs, "window")
     budget = inputs.get("budget")
     if budget is not None:
-        _expect(isinstance(budget, int) and budget >= 1, "field 'budget' must be positive")
+        _expect(is_nat(budget) and budget >= 1, "field 'budget' must be positive")
     rng = random.Random(seed)
     scenarios = []
     tables = []
@@ -166,9 +166,7 @@ def build(operation: str, inputs: dict) -> dict:
 def _check_rows(cert: dict) -> None:
     """Cheap per-row facts that must hold before any replay."""
     op = cert["operation"]
-    trace = cert.get("trace")
-    if not isinstance(trace, dict):
-        raise BadCertificate("trace must be an object")
+    trace = cert["trace"]
     if op == "fuse.bound":
         level = cert["inputs"].get("level")
         for row in trace.get("decisions", []):
@@ -184,6 +182,7 @@ def _check_rows(cert: dict) -> None:
         from .machine import check_proof, encode, parse_program
 
         for row in trace.get("scenarios", []):
+            _expect(isinstance(row["program"], str), "recorded program must be program text")
             x = parse_program(row["program"])
             if encode(x) != row["index"]:
                 raise BadCertificate("recorded program does not match its index")
@@ -201,8 +200,10 @@ def verify(cert: Any) -> dict:
     for key in ("operation", "inputs", "trace", "outputs"):
         if key not in cert:
             raise BadCertificate(f"certificate is missing {key!r}")
+    if not (isinstance(cert["inputs"], dict) and isinstance(cert["trace"], dict)):
+        raise BadCertificate("inputs and trace must be objects")
     op = cert["operation"]
-    if op not in _BUILDERS:
+    if not isinstance(op, str) or op not in _BUILDERS:
         raise BadCertificate(f"unknown certified operation {op!r}")
     try:
         _check_rows(cert)

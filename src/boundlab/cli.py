@@ -21,6 +21,8 @@ from typing import Any
 from .errors import DomainError, EmptyOpenError
 from .serialize import (
     FormatError,
+    _expect,
+    _nat_list,
     dumps,
     open_from_json,
     open_to_json,
@@ -152,17 +154,15 @@ def _set_seqbound(args) -> Any:
     from .set_opens import sequential_bound
 
     job = _load_dict(args.job)
-    if "open" not in job:
-        raise FormatError("job is missing field 'open'")
+    _expect("open" in job, "job is missing field 'open'")
     O = setopen_from_json(job["open"])
     rows = job.get("decided", [])
-    if not isinstance(rows, list):
-        raise FormatError("field 'decided' must be a list")
+    _expect(isinstance(rows, list), "field 'decided' must be a list")
     decided = []
     for row in rows:
-        if not isinstance(row, dict) or "neighborhood" not in row or "value" not in row:
-            raise FormatError("decided rows need 'neighborhood' and 'value'")
-        decided.append((row["neighborhood"], row["value"]))
+        ok = isinstance(row, dict) and "neighborhood" in row and "value" in row
+        _expect(ok, "decided rows need 'neighborhood' and 'value'")
+        decided.append((_nat_list(row["neighborhood"], "neighborhood"), row["value"]))
     return {"bound": sequential_bound(O, decided)}
 
 

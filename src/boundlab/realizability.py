@@ -16,7 +16,9 @@ how long a sequence of arguments takes to stabilize under it.
 from __future__ import annotations
 
 import functools
+import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
@@ -49,53 +51,47 @@ class VTrace:
     value: int
 
 
+_NO_CAP = 1 << 63  # a budget no run reaches: about 290 years at 10**9 steps/s
+
+
 class ConvergenceCache:
-    """Memoized machine runs: exact (steps, output) once converged, the
-    best known failed budget otherwise, and the runs past the nesting cap,
-    which fail at every budget."""
+    """Memoized machine runs: the exact (steps, output) of each converged
+    run, and the largest budget each other run failed within (infinite past
+    the nesting cap), so every answer is the one a fresh run would give."""
 
     def __init__(self):
         self._exact: dict[tuple[int, int], tuple[int, int]] = {}
-        self._aborted: dict[tuple[int, int], int] = {}
-        self._capped: set[tuple[int, int]] = set()
+        self._failed: dict[tuple[int, int], float] = {}
 
     def run(self, w: int, z: int, budget: int) -> tuple[int, int] | None:
         key = (w, z)
         if key in self._exact:
             steps, out = self._exact[key]
             return (steps, out) if steps < budget else None
-        if key in self._capped or budget <= self._aborted.get(key, 0):
+        if budget <= self._failed.get(key, 0):
             return None
         try:
             res = eval_outcome(decode(w), z, budget)
         except NestingCapped:
-            self._capped.add(key)
+            self._failed[key] = math.inf
             return None
         if res is None:
-            self._aborted[key] = budget
+            self._failed[key] = budget
             return None
         out, steps = res
         self._exact[key] = (steps, out)
         return steps, out
 
     def run_to_convergence(self, w: int, z: int, cap: int | None = None) -> tuple[int, int]:
-        key = (w, z)
-        if key in self._exact:
-            return self._exact[key]
-        budget = max(64, 2 * self._aborted.get(key, 0))
-        while True:
-            res = self.run(w, z, budget)
-            if res is not None:
-                return res
-            if key in self._capped:
-                raise BudgetExhausted(
-                    f"program {w} on {z} needs more nesting than the machine allows"
-                )
-            budget *= 4
-            if cap is not None and budget > cap:
-                raise BudgetExhausted(
-                    f"program {w} on {z} did not converge within the {cap}-step cap"
-                )
+        """(steps, output) of a run that takes fewer than cap steps, by one
+        run at the cap; without a cap, one at a budget no run reaches."""
+        budget = _NO_CAP if cap is None else cap
+        res = self.run(w, z, budget)
+        if res is not None:
+            return res
+        if self._failed.get((w, z)) == math.inf:
+            raise BudgetExhausted(f"program {w} on {z} needs more nesting than the machine allows")
+        raise BudgetExhausted(f"program {w} on {z} did not converge within the {budget}-step cap")
 
 
 _RUNS = ConvergenceCache()
@@ -120,22 +116,31 @@ def certified_pairs(k: int) -> tuple[tuple[int, int], ...]:
 _QUALIFY_AT: list[int] = [0]
 
 
+def _worst(k: int, cap: int | None) -> int:
+    """1 + the largest step count or output of the certified runs below k."""
+    worst = -1
+    for _, w in certified_pairs(k):
+        for z in range(k):
+            worst = max(worst, *_RUNS.run_to_convergence(w, z, cap))
+    return worst + 1
+
+
 def _qualify_threshold(k: int, budget_cap: int | None = None) -> int:
-    while len(_QUALIFY_AT) <= k:
-        kk = len(_QUALIFY_AT)
-        worst = -1
-        for j, w in certified_pairs(kk):
-            for z in range(kk):
-                steps, out = _RUNS.run_to_convergence(w, z, cap=budget_cap)
-                worst = max(worst, steps, out)
-        _QUALIFY_AT.append(worst + 1)
+    """_QUALIFY_AT[k], extended as needed.  Under a cap it walks the ks in
+    the order a cold table does, skipping those whose threshold is within
+    the cap (all their runs fit), so whatever is cached it refuses on the
+    same first run that takes budget_cap steps or more."""
+    start = len(_QUALIFY_AT) if budget_cap is None else bisect_right(_QUALIFY_AT, budget_cap)
+    for kk in range(start, k + 1):
+        worst = _worst(kk, budget_cap)
+        if kk == len(_QUALIFY_AT):
+            _QUALIFY_AT.append(worst)
     return _QUALIFY_AT[k]
 
 
 def v(n: int, budget_cap: int | None = None) -> VTrace:
     """Largest k < n whose certified runs all land strictly within n.
-    BudgetExhausted if a run it waits for does not converge within
-    budget_cap steps."""
+    BudgetExhausted if a run it waits for takes budget_cap steps or more."""
     if n < 0:
         raise ValueError("v is defined on naturals")
     k = 0
@@ -147,16 +152,10 @@ def v(n: int, budget_cap: int | None = None) -> VTrace:
 
 def unbounded_witness(k: int, budget_cap: int | None = None) -> int:
     """An n with v(n).value >= k: wait out every certified run below k.
-    BudgetExhausted if one does not converge within budget_cap steps."""
-    worst = k
-    for j, w in certified_pairs(k):
-        for z in range(k):
-            steps, out = _RUNS.run_to_convergence(w, z, cap=budget_cap)
-            worst = max(worst, steps, out)
-    n_k = worst + 1
-    if _qualify_threshold(k, budget_cap) > n_k or k >= n_k:
-        raise AssertionError("witness failed its own verification")
-    return n_k
+    BudgetExhausted if one takes budget_cap steps or more."""
+    if k < 0:
+        raise ValueError("the witness is defined for naturals k")
+    return max(k + 1, _qualify_threshold(k, budget_cap))
 
 
 def pseudobound_scenario(
@@ -174,8 +173,7 @@ def pseudobound_scenario(
     table: list[tuple[int, int]] = []
     for n in range(N + 1, N + window + 1):
         _, out = _RUNS.run_to_convergence(w, n, cap=budget_cap)
-        m = unpair(out)[0]
-        fn = v(m).value
+        fn = v(unpair(out)[0], budget_cap).value
         if fn > n:
             raise TheoremViolated(f"certified enumeration reached {fn} at index {n}")
         table.append((n, fn))

@@ -23,10 +23,12 @@ from boundlab.machine import (
     const,
     decode,
     encode,
+    eval_outcome,
     eval_profile,
     pair,
     unpair,
 )
+from boundlab import realizability
 from boundlab.realizability import least_distinguishing_fn
 from boundlab.seq_opens import BasicOpen, Open, Point, is_empty, make_open
 from boundlab.set_opens import PeriodicSet, SetOpen
@@ -260,6 +262,52 @@ def brute_v(n: int) -> int:
         if ok:
             return k
     return 0
+
+
+def _threshold_reference(k: int, cap: int | None) -> int | None:
+    """1 + the largest step count or output of the certified runs below k,
+    each made afresh by eval_outcome at the cap (without one, at 2**63
+    steps); None when one takes cap steps or more or passes the nesting cap."""
+    worst = -1
+    for j in range(k):
+        p = decode(j)
+        if not apply_free(p) or encode(p) >= k:
+            continue
+        for z in range(k):
+            try:
+                res = eval_outcome(p, z, 1 << 63 if cap is None else cap)
+            except NestingCapped:
+                return None
+            if res is None:
+                return None
+            worst = max(worst, *res)
+    return worst + 1
+
+
+def witness_reference(k: int, cap: int | None = None) -> int | None:
+    """unbounded_witness(k, cap), or None where it must refuse."""
+    threshold = _threshold_reference(k, cap)
+    return None if threshold is None else max(k + 1, threshold)
+
+
+def v_reference(n: int, cap: int | None = None) -> int | None:
+    """v(n, cap).value, or None where it must refuse: when a certified run
+    below the largest k it looks at (one past the answer, and below n)
+    takes cap steps or more."""
+    k = 0
+    while k + 1 < n and _threshold_reference(k + 1, None) <= n:
+        k += 1
+    looked_at = min(k + 1, n - 1)
+    if looked_at > 0 and _threshold_reference(looked_at, cap) is None:
+        return None
+    return k
+
+
+def cold_fp_lab() -> None:
+    """Empty the fp lab's caches, as a fresh process has them."""
+    realizability._RUNS = realizability.ConvergenceCache()
+    realizability._QUALIFY_AT[:] = [0]
+    realizability.certified_pairs.cache_clear()
 
 
 # --- the numbering and the support search, without shortcuts -------------

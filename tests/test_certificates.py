@@ -213,3 +213,21 @@ def test_verify_detects_tampered_trace_rows():
 def test_build_rejects_unknown_operation():
     with pytest.raises(FormatError):
         build("no.such.op", {})
+
+
+def test_scenario_budget_and_seed_are_not_booleans():
+    for field in ("budget", "seed"):
+        with pytest.raises(FormatError, match=field):
+            build("fp.scenario", {"seed": 1, "count": 1, "window": 3, field: True})
+    cert = build("fp.scenario", {"seed": 1, "count": 1, "window": 3})
+    flagged = copy.deepcopy(cert)
+    flagged["inputs"]["seed"] = True  # equal to 1, but not a seed
+    with pytest.raises(BadCertificate):
+        verify(flagged)
+
+
+def test_verify_rejects_wrappers_with_ill_typed_parts():
+    cert = build("fp.scenario", {"seed": 1, "count": 1, "window": 3})
+    for key, value in (("operation", []), ("inputs", None), ("inputs", [1]), ("trace", 5)):
+        with pytest.raises(BadCertificate):
+            verify(dict(cert, **{key: value}))

@@ -350,3 +350,25 @@ def test_fp_commands_honour_the_global_budget():
     res = run_cli("--budget", "10000", "fp", "witness", "--k", "5")
     assert res.returncode == 0
     assert json.loads(res.stdout) == {"k": 5, "witness": unbounded_witness(5)}
+
+
+def test_fp_witness_rejects_a_negative_k():
+    res = run_cli("fp", "witness", "--k", "-1")
+    assert res.returncode == 2, res.stdout + res.stderr
+    assert json.loads(res.stdout)["code"] == "BadInput"
+
+
+def test_verify_rejects_a_scenario_row_without_program_text(tmp_path):
+    cert = json.loads(run_cli("fp", "scenario", "--count", "1", "--window", "3").stdout)
+    cert["trace"]["scenarios"][0]["program"] = 5
+    res = run_cli("verify", write(tmp_path, "cert.json", cert))
+    assert res.returncode == 2, res.stdout + res.stderr
+    assert json.loads(res.stdout)["code"] == "BadCertificate"
+
+
+def test_seqbound_with_a_non_list_neighborhood_exits_65(tmp_path):
+    evens = {"prefix_bits": "", "period_bits": "10"}
+    job = {"open": {"P": [2], "N": evens}, "decided": [{"neighborhood": 9, "value": 2}]}
+    res = run_cli("set", "seqbound", write(tmp_path, "job.json", job))
+    assert res.returncode == 65, res.stdout + res.stderr
+    assert json.loads(res.stdout)["code"] == "MalformedInput"

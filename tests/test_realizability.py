@@ -37,7 +37,7 @@ from boundlab.realizability import (
     v,
 )
 
-from oracles import brute_v
+from oracles import brute_v, cold_fp_lab, v_reference, witness_reference
 
 BIG = 10**6
 
@@ -243,3 +243,77 @@ def test_nesting_cap_ends_run_to_convergence_at_once():
         signal.signal(signal.SIGALRM, old)
     assert cache.run(w, 0, 10**12) is None
     assert cache.run_to_convergence(encode(SUCC), 4) == (6, 5)
+
+
+def test_a_capped_run_is_one_run_at_the_cap():
+    # (primrec arg arg) on 8 converges in 424 steps: within a 1000-step cap,
+    # not within a 424-step one.
+    assert ConvergenceCache().run_to_convergence(9, 8, cap=1000) == (424, 5695183504492614029263270)
+    with pytest.raises(BudgetExhausted, match="424-step cap"):
+        ConvergenceCache().run_to_convergence(9, 8, cap=424)
+    cache = ConvergenceCache()
+    assert cache.run_to_convergence(9, 8) == (424, 5695183504492614029263270)
+    with pytest.raises(BudgetExhausted):
+        cache.run_to_convergence(9, 8, cap=424)
+
+
+def _value_of_v(n, cap):
+    return v(n, cap).value
+
+
+def _outcome(call, arg, cap):
+    try:
+        return call(arg, cap)
+    except BudgetExhausted as e:
+        return ("BudgetExhausted", str(e))
+
+
+def test_capped_fp_results_depend_only_on_their_arguments():
+    """Each call gives in a warm lab, after other capped and uncapped calls,
+    what it gives in a cold one, and refuses exactly where a fresh
+    eval_outcome of some certified run it waits for takes cap steps or more."""
+    rng = random.Random(909)
+    calls = []
+    for _ in range(120):
+        cap = None if rng.random() < 0.2 else rng.randint(1, 3000)
+        if rng.random() < 0.5:
+            calls.append((unbounded_witness, rng.randint(0, 15), cap))
+        else:
+            calls.append((_value_of_v, rng.randint(0, 150), cap))
+    reference = {unbounded_witness: witness_reference, _value_of_v: v_reference}
+    try:
+        cold = []
+        for call in calls:
+            cold_fp_lab()
+            cold.append(_outcome(*call))
+        for step in (1, -1):
+            cold_fp_lab()
+            warm = [_outcome(*call) for call in calls[::step]]
+            assert warm[::step] == cold
+    finally:
+        cold_fp_lab()
+    for (call, arg, cap), got in zip(calls, cold):
+        want = reference[call](arg, cap)
+        if want is None:
+            assert got[0] == "BudgetExhausted", (call.__name__, arg, cap)
+        else:
+            assert got == want, (call.__name__, arg, cap)
+
+
+def test_witness_rejects_a_negative_k():
+    with pytest.raises(ValueError):
+        unbounded_witness(-1)
+    v(200)
+    for cap in (None, 10):
+        with pytest.raises(ValueError):
+            unbounded_witness(-1, cap)
+
+
+def test_pseudobound_scenario_caps_the_runs_inside_v():
+    # pair(arg, 0) itself runs in a few steps, but v of its outputs waits
+    # for certified runs of up to 833 steps.
+    with pytest.raises(BudgetExhausted):
+        pseudobound_scenario(node("pair", ARG, E0), 1108, 5, budget_cap=40)
+    assert pseudobound_scenario(node("pair", ARG, E0), 1108, 5, budget_cap=834) == [
+        (n, 9) for n in range(1109, 1114)
+    ]
