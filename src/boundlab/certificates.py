@@ -171,7 +171,7 @@ def _check_rows(cert: dict) -> None:
         level = cert["inputs"].get("level")
         for row in trace.get("decisions", []):
             node, value, witness = row["node"], row["value"], row["witness"]
-            if witness >= len(node) or node[witness] != value:
+            if not 0 <= witness < len(node) or node[witness] != value:
                 raise BadCertificate(f"decision at {node} breaks its witness equation")
             if isinstance(level, int) and value > level:
                 raise BadCertificate(f"decision at {node} exceeds the recorded level")

@@ -44,7 +44,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_json(path: str) -> Any:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise FormatError(f"{path} nests deeper than the JSON reader allows") from None
 
 
 def _load_dict(path: str) -> dict:

@@ -33,35 +33,16 @@ from .terms import (
     GuardedTerm,
     Node,
     Term,
-    TermNotTotal,
     TermSequence,
     amalgamate,
     decide_guarded,
     decide_term,
+    term_values,
 )
 
 
-def _check_candidate(p: BasicOpen, I: int, at: int) -> None:
-    if at < p.stem:
-        raise BadCandidate(f"cut position {at} lies below the stem {p.stem}")
-    below = max([p.g(n) for n in range(at)], default=0)
-    if I < below:
-        raise BadCandidate(f"candidate {I} is below the schedule maximum {below} before position {at}")
-    if I > p.g(at):
-        raise BadCandidate(f"candidate {I} exceeds the schedule value {p.g(at)} at position {at}")
-
-
-def _all_nodes_at_most(p: BasicOpen, t: Term, bound: int) -> bool:
-    for node in compatible_nodes(p, t.modulus):
-        if not t.has_node(node):
-            raise TermNotTotal(f"table is missing the compatible node {node}")
-        if t.value_at(node) > bound:
-            return False
-    return True
-
-
 def _good_extension(p: BasicOpen, t: Term, I: int) -> BasicOpen:
-    if _all_nodes_at_most(p, t, I):
+    if all(value <= I for value in term_values(p, t)):
         return p
     if p.stem >= t.modulus:
         # A single fully pinned node remains; for range-witnessed terms its
@@ -77,21 +58,25 @@ def bound_range_term(p: Open, t: Term, I: int) -> BasicOpen:
     schedule still >= I at the stem."""
     if is_empty(p):
         raise EmptyOpenError("cannot bound a term under the empty open")
-    _check_candidate(p, I, p.stem)
-    return _good_extension(p, t, I)
+    return bound_range_term_at(p, t, I, p.stem)
 
 
 def bound_range_term_at(p: Open, t: Term, I: int, M: int) -> BasicOpen:
-    """Depth-M variant: keep the schedule exactly below M, push the bound at M."""
+    """Depth-M variant: keep the schedule exactly below M, push the bound at
+    M.  Each depth-M node's piece is bounded on its own and the results
+    merged by pointwise minimum; at M = the stem the one piece is p."""
     if is_empty(p):
         raise EmptyOpenError("cannot bound a term under the empty open")
-    base = p
-    _check_candidate(base, I, M)
-    if M == base.stem:
-        return bound_range_term(base, t, I)
-    shrunk = [_good_extension(restrict_by_seq(base, sigma), t, I) for sigma in compatible_nodes(base, M)]
+    if M < p.stem:
+        raise BadCandidate(f"cut position {M} lies below the stem {p.stem}")
+    below = max([p.g(n) for n in range(M)], default=0)
+    if I < below:
+        raise BadCandidate(f"candidate {I} is below the schedule maximum {below} before position {M}")
+    if I > p.g(M):
+        raise BadCandidate(f"candidate {I} exceeds the schedule value {p.g(M)} at position {M}")
+    shrunk = [_good_extension(restrict_by_seq(p, sigma), t, I) for sigma in compatible_nodes(p, M)]
     merged = reduce(min_schedule, (q.schedule for q in shrunk))
-    return BasicOpen(base.stem, merged.overwrite(0, base.schedule.values(M)))
+    return BasicOpen(p.stem, merged.overwrite(0, p.schedule.values(M)))
 
 
 def fuse_pseudobound(p: Open, a: TermSequence, f: Point, stages: int) -> tuple[int, list[BasicOpen]]:
@@ -166,31 +151,28 @@ StepOracle = Callable[[int | GuardedTerm, BasicOpen], tuple[Term, int]]
 
 
 def dc_chain(p: Open, step_oracle: StepOracle, a0: int, steps: int) -> tuple[list[BasicOpen], list[int | GuardedTerm]]:
-    """Iterate witness extraction: each stage decides the next witness below
-    the current open while an occurrence of a value >= I + stage survives in
-    the schedule, so every finite stage is a valid open."""
+    """Iterate witness extraction: each stage decides the step term on every
+    node of p's depth cover, at least as deep as the first position where
+    the schedule reaches I + stage, and amalgamates those pieces.  Total
+    step terms need no shrinking, so every chain entry is p itself."""
     if is_empty(p):
         raise EmptyOpenError("cannot build a chain below the empty open")
-    base = p
-    I = base.g(base.stem)
-    chain: list[BasicOpen] = [base]
+    I = p.g(p.stem)
+    chain: list[BasicOpen] = [p]
     witnesses: list[int | GuardedTerm] = [a0]
-    cur = base
     for stage in range(1, steps + 1):
-        term, depth = step_oracle(witnesses[-1], cur)
-        M = cur.stem
-        while cur.g(M) < I + stage:
+        term, depth = step_oracle(witnesses[-1], p)
+        M = p.stem
+        while p.g(M) < I + stage:
             M += 1
-        oracle: NodeOracle = {}
-        for node in compatible_nodes(cur, max(depth, M)):
-            piece = restrict_by_seq(cur, node)
-            value = decide_term(piece, term)
-            if value is None:
+        parts: list[tuple[BasicOpen, Term]] = []
+        for node in compatible_nodes(p, max(depth, M)):
+            piece = restrict_by_seq(p, node)
+            if decide_term(piece, term) is None:
                 raise OracleNotTotal(f"step term undecided on node {node} at stage {stage}")
-            oracle[node] = (value, term)
-        cur, guarded = extract_witness_at(cur, oracle, I + stage, M)
-        assert any(cur.g(n) >= I + stage for n in range(M + 1)), "stage invariant lost"
-        decided = decide_guarded(cur, guarded)
-        chain.append(cur)
+            parts.append((piece, term))
+        guarded = amalgamate(parts)
+        decided = decide_guarded(p, guarded)
+        chain.append(p)
         witnesses.append(decided if decided is not None else guarded)
     return chain, witnesses

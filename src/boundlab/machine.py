@@ -378,7 +378,8 @@ class OutOfFuel(Exception):
 class NestingCapped(Exception):
     """The run needs more nesting than the cap allows.  It then fails at
     every budget: a larger one replays the run up to the same point, and a
-    smaller one runs out there or before."""
+    smaller one runs out there or before.  eval_outcome sets its charge to
+    the steps charged up to that point, which every budget above it pays."""
 
 
 _MAX_DEPTH = 384
@@ -466,6 +467,9 @@ def eval_outcome(e: Expr, z: int, budget: int) -> tuple[int, int] | None:
         value = _eval(e, z, fuel, 1)
     except OutOfFuel:
         return None
+    except NestingCapped as capped:
+        capped.charge = budget - fuel.remaining
+        raise
     return value, budget - fuel.remaining
 
 

@@ -56,12 +56,14 @@ _NO_CAP = 1 << 63  # a budget no run reaches: about 290 years at 10**9 steps/s
 
 class ConvergenceCache:
     """Memoized machine runs: the exact (steps, output) of each converged
-    run, and the largest budget each other run failed within (infinite past
-    the nesting cap), so every answer is the one a fresh run would give."""
+    run, the largest budget each other run failed within (infinite past the
+    nesting cap), and the charge at which a run reaches that cap, so every
+    answer is the one a fresh run would give."""
 
     def __init__(self):
         self._exact: dict[tuple[int, int], tuple[int, int]] = {}
         self._failed: dict[tuple[int, int], float] = {}
+        self._nests_past: dict[tuple[int, int], int] = {}
 
     def run(self, w: int, z: int, budget: int) -> tuple[int, int] | None:
         key = (w, z)
@@ -72,8 +74,9 @@ class ConvergenceCache:
             return None
         try:
             res = eval_outcome(decode(w), z, budget)
-        except NestingCapped:
+        except NestingCapped as capped:
             self._failed[key] = math.inf
+            self._nests_past[key] = capped.charge
             return None
         if res is None:
             self._failed[key] = budget
@@ -89,7 +92,7 @@ class ConvergenceCache:
         res = self.run(w, z, budget)
         if res is not None:
             return res
-        if self._failed.get((w, z)) == math.inf:
+        if budget > self._nests_past.get((w, z), math.inf):
             raise BudgetExhausted(f"program {w} on {z} needs more nesting than the machine allows")
         raise BudgetExhausted(f"program {w} on {z} did not converge within the {budget}-step cap")
 

@@ -181,8 +181,10 @@ def oracle_from_json(d: Any) -> StarOracle:
         _expect(isinstance(entry, list) and len(entry) == 2, "levels entries must be [n, level]")
         pair = _nat_list(entry, "levels entry")
         levels[pair[0]] = pair[1]
+    raw_labels = d.get("labels", [])
+    _expect(isinstance(raw_labels, list), "field 'labels' must be a list")
     labels: dict[tuple[int, tuple[int, ...]], bool] = {}
-    for row in d.get("labels", []):
+    for row in raw_labels:
         row = _dict(row, "labels row")
         n = _nat_field(row, "n")
         node = tuple(_nat_list(row.get("node"), "node"))

@@ -10,7 +10,7 @@ a default outside every guard.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import AmbiguousAmalgamation, EmptyOpenError, TermNotTotal
 from .seq_opens import (
@@ -94,15 +94,19 @@ def identity_term(p: BasicOpen) -> RangeTerm:
     return range_term_from(1, list(compatible_nodes(p, 1)), lambda node: 0)
 
 
+def term_values(p: BasicOpen, t: Term) -> Iterator[int]:
+    """t's value on each node of compatible_nodes(p, t.modulus), in order."""
+    for node in compatible_nodes(p, t.modulus):
+        if not t.has_node(node):
+            raise TermNotTotal(f"table is missing the compatible node {node}")
+        yield t.value_at(node)
+
+
 def decide_term(p: Open, t: Term) -> int | None:
     """Decided value of t under p, or None when compatible nodes disagree."""
     if is_empty(p):
         raise EmptyOpenError("cannot decide a term under the empty open")
-    values: set[int] = set()
-    for node in compatible_nodes(p, t.modulus):
-        if not t.has_node(node):
-            raise TermNotTotal(f"table is missing the compatible node {node}")
-        values.add(t.value_at(node))
+    values = set(term_values(p, t))
     return values.pop() if len(values) == 1 else None
 
 

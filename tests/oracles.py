@@ -28,7 +28,7 @@ from boundlab.machine import (
     pair,
     unpair,
 )
-from boundlab import realizability
+from boundlab import machine, realizability
 from boundlab.realizability import least_distinguishing_fn
 from boundlab.seq_opens import BasicOpen, Open, Point, is_empty, make_open
 from boundlab.set_opens import PeriodicSet, SetOpen
@@ -304,10 +304,13 @@ def v_reference(n: int, cap: int | None = None) -> int | None:
 
 
 def cold_fp_lab() -> None:
-    """Empty the fp lab's caches, as a fresh process has them."""
+    """Empty the fp lab's caches and the tables of known codes, as a fresh
+    process has them."""
     realizability._RUNS = realizability.ConvergenceCache()
     realizability._QUALIFY_AT[:] = [0]
     realizability.certified_pairs.cache_clear()
+    realizability._PROGRAMS = machine._CodeTable()
+    machine._CODES = machine._CodeTable()
 
 
 # --- the numbering and the support search, without shortcuts -------------

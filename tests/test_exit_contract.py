@@ -37,12 +37,15 @@ def run(argv):
     return code, out.getvalue()
 
 
-def run_on_file(argv, doc):
+def run_on_file(argv, *docs):
+    """Run argv with one input file per doc appended, in order."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "input.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-        return run([*argv, path])
+        paths = []
+        for i, doc in enumerate(docs):
+            paths.append(os.path.join(tmp, f"input{i}.json"))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        return run([*argv, *paths])
 
 
 # --- capped fp commands --------------------------------------------------
@@ -105,13 +108,13 @@ def _paths(doc, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
-def mutate(doc, data):
+def mutate(doc, data, values=json_values, fields=FIELDS):
     """Up to three edits of doc: replace or delete a node, or set a field."""
     doc = copy.deepcopy(doc)
     for _ in range(data.draw(st.integers(1, 3))):
         path = data.draw(st.sampled_from(list(_paths(doc))))
         if not path:
-            doc = data.draw(json_values)
+            doc = data.draw(values)
             continue
         parent = doc
         for key in path[:-1]:
@@ -121,9 +124,9 @@ def mutate(doc, data):
         if action == "delete":
             del parent[path[-1]]
         elif action == "set field" and isinstance(target, dict):
-            target[data.draw(st.sampled_from(FIELDS))] = data.draw(json_values)
+            target[data.draw(st.sampled_from(fields))] = data.draw(values)
         else:
-            parent[path[-1]] = data.draw(json_values)
+            parent[path[-1]] = data.draw(values)
     return doc
 
 
@@ -148,3 +151,108 @@ SCENARIO_CERT = build("fp.scenario", {"seed": 1, "count": 1, "window": 3})
 @given(st.data())
 def test_mutated_scenario_certificates_keep_the_contract(data):
     run_on_file(["verify"], mutate(SCENARIO_CERT, data))
+
+
+# --- mutated fusion and escape inputs ------------------------------------
+
+# These constructions grow fast in their sizes (a dc stage amalgamates every
+# node of a cover pairwise), so the seeds are small and the edits write only
+# integers in [-3, 2]: stems, schedule entries, slopes, moduli, levels,
+# horizons and dc steps are at most 2 where an edit sets them and at most 4
+# in the seeds, so no run reaches depth 6 or 400 cover nodes (the worst, a
+# dc open edited to explicit [2, 2, 2], covers 324 nodes at depth 5).
+SMALL_FIELDS = [
+    "stem", "explicit", "base", "slope", "empty", "prefix", "tail_value", "modulus", "table",
+    "node", "value", "witness", "levels", "labels", "n", "star", "default_star", "p", "term",
+    "level", "at", "point", "stages", "terms", "start", "steps", "oracle", "q", "horizon",
+    "format", "operation", "inputs", "trace", "outputs", "decisions", "chain", "frames",
+]
+
+small_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 2)
+    | st.sampled_from([0.5, 2.0, "", "x", "successor", "fuse.dc"]),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.sampled_from(SMALL_FIELDS), kids, max_size=3),
+    max_leaves=6,
+)
+
+OPEN = {"stem": 0, "explicit": [], "base": 2, "slope": 1}
+OPEN_AT = {"stem": 1, "explicit": [1], "base": 2, "slope": 1}
+TERM = {"modulus": 1, "table": [{"node": [i], "value": i, "witness": 0} for i in range(3)]}
+TERM_AT = {
+    "modulus": 2,
+    "table": [{"node": [1, b], "value": (1, b)[b % 2], "witness": b % 2} for b in range(4)],
+}
+PSEUDO_JOB = {
+    "p": {"stem": 0, "explicit": [], "base": 1, "slope": 1},
+    "point": {"prefix": [], "tail_value": 0},
+    "stages": 2,
+    "terms": [{"modulus": 1, "table": [{"node": [i], "value": i, "witness": 0} for i in range(2)]}] * 3,
+}
+ESCAPE_ORACLE = {
+    "levels": [[n, n + 1] for n in range(4)],
+    "labels": [{"n": 0, "node": [0], "star": False}],
+    "default_star": True,
+}
+
+# (argv without the input files, the input files in order)
+FUSION_JOBS = [
+    (["fuse", "bound", "--level", "1"], [OPEN, TERM]),
+    (["fuse", "bound", "--level", "2", "--at", "1"], [OPEN_AT, TERM_AT]),
+    (["fuse", "pseudo"], [PSEUDO_JOB]),
+    (["fuse", "dc", "--start", "1", "--steps", "2"], [OPEN]),
+    (["as", "schedule", "--level", "1", "--horizon", "3"], [OPEN, ESCAPE_ORACLE]),
+]
+
+
+def test_the_fusion_seeds_succeed():
+    for argv, docs in FUSION_JOBS:
+        assert run_on_file(argv, *docs)[0] == 0, argv
+
+
+FUSION_CERTS = [
+    build("fuse.bound", {"p": OPEN, "term": TERM, "level": 1}),
+    build("fuse.bound", {"p": OPEN_AT, "term": TERM_AT, "level": 2, "at": 1}),
+    build("fuse.pseudo", PSEUDO_JOB),
+    build("fuse.dc", {"p": OPEN, "start": 1, "steps": 2, "oracle": "successor"}),
+    build("as.schedule", {"q": OPEN, "oracle": ESCAPE_ORACLE, "level": 1, "horizon": 3}),
+]
+
+
+@settings(SETTINGS, max_examples=150)
+@given(st.data())
+def test_mutated_fusion_inputs_keep_the_contract(data):
+    argv, docs = data.draw(st.sampled_from(FUSION_JOBS))
+    which = data.draw(st.integers(0, len(docs) - 1))
+    docs = [mutate(doc, data, small_values, SMALL_FIELDS) if i == which else doc for i, doc in enumerate(docs)]
+    run_on_file(argv, *docs)
+
+
+@settings(SETTINGS, max_examples=150)
+@given(st.data())
+def test_mutated_fusion_certificates_keep_the_contract(data):
+    cert = data.draw(st.sampled_from(FUSION_CERTS))
+    run_on_file(["verify"], mutate(cert, data, small_values, SMALL_FIELDS))
+
+
+def test_a_star_oracle_whose_labels_are_not_a_list_is_malformed_input():
+    oracle = dict(ESCAPE_ORACLE, labels=5)
+    code, out = run_on_file(["as", "schedule", "--level", "1", "--horizon", "3"], OPEN, oracle)
+    assert code == 65 and "labels" in out
+
+
+def test_a_decision_with_a_negative_witness_fails_its_witness_equation():
+    cert = copy.deepcopy(FUSION_CERTS[0])
+    cert["trace"]["decisions"][0]["witness"] = -3
+    code, out = run_on_file(["verify"], cert)
+    assert code == 2 and "witness equation" in out
+
+
+def test_an_input_nested_past_the_json_readers_depth_is_malformed_input():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "deep.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("[" * 100_000 + "]" * 100_000)
+        code, out = run(["verify", path])
+    assert code == 65 and "nests deeper" in out

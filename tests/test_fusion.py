@@ -14,7 +14,7 @@ from boundlab.fusion import (
     fuse_pseudobound,
 )
 from boundlab.seq_opens import Point, count_nodes, make_open, member, restrict_by_seq, split, subset
-from boundlab.terms import TermSequence, constant_term, decide_guarded, range_term_from
+from boundlab.terms import DecisionTerm, GuardedTerm, TermSequence, constant_term, decide_guarded, range_term_from
 
 from oracles import lowered_windows, nodes_brute, random_open, random_range_term
 
@@ -285,3 +285,23 @@ def test_dc_chain_echo_oracle():
 
     chain, witnesses = dc_chain(p, echo, 3, 3)
     assert witnesses == [3, 3, 3, 3]
+
+
+def test_dc_chain_keeps_the_open_and_refuses_an_undecided_step():
+    """Every chain entry is the input open; a step term undecided on one
+    piece of the cover is refused by node and stage."""
+    p = make_open(0, [], 2, 1)
+    # Stage 2 covers p at depth 2; the modulus-3 term reads the third entry
+    # below the node (1, 0) only, so that piece alone leaves it undecided.
+    split_term = DecisionTerm(3, {nd: nd[2] if nd[:2] == (1, 0) else 5 for nd in nodes_brute(p, 3)})
+    first_entry = DecisionTerm(3, {nd: nd[0] for nd in nodes_brute(p, 3)})
+
+    chain, witnesses = dc_chain(p, lambda w, cur: (first_entry, 2), 0, 2)
+    assert chain == [p, p, p]
+    assert witnesses[0] == 0 and all(isinstance(w, GuardedTerm) for w in witnesses[1:])
+
+    def step(w, cur):
+        return (constant_term(1), 0) if w == 0 else (split_term, 2)
+
+    with pytest.raises(OracleNotTotal, match=r"undecided on node \(1, 0\) at stage 2$"):
+        dc_chain(p, step, 0, 2)

@@ -14,10 +14,13 @@ from boundlab.machine import (
     ARG,
     E0,
     SUCC,
+    NestingCapped,
     TotalityCertificate,
     alias_certificate,
     const,
+    decode,
     encode,
+    eval_outcome,
     eval_profile,
     node,
 )
@@ -255,6 +258,33 @@ def test_a_capped_run_is_one_run_at_the_cap():
     assert cache.run_to_convergence(9, 8) == (424, 5695183504492614029263270)
     with pytest.raises(BudgetExhausted):
         cache.run_to_convergence(9, 8, cap=424)
+
+
+def _refusal(cache, w, cap):
+    with pytest.raises(BudgetExhausted) as refused:
+        cache.run_to_convergence(w, 8, cap)
+    return str(refused.value)
+
+
+def test_a_nesting_refusal_reads_as_a_fresh_run_whatever_the_cache_saw():
+    # The first component, (primrec arg arg) on 8, charges 424 steps; the
+    # second nests 400 deep, so only budgets above 424 reach the nesting cap.
+    deep = ARG
+    for _ in range(400):
+        deep = node("succ", deep)
+    w = encode(node("pair", node("primrec", ARG, ARG), deep))
+    with pytest.raises(NestingCapped) as capped:
+        eval_outcome(decode(w), 8, 10**6)
+    assert capped.value.charge == 424
+    caps = [100, 424, 425, 10**6, None]
+    fresh = [_refusal(ConvergenceCache(), w, cap) for cap in caps]
+    assert fresh[:2] == [f"program {w} on 8 did not converge within the {cap}-step cap" for cap in caps[:2]]
+    assert fresh[2:] == [f"program {w} on 8 needs more nesting than the machine allows"] * 3
+    for first in caps:
+        warm = ConvergenceCache()
+        _refusal(warm, w, first)
+        assert [_refusal(warm, w, cap) for cap in caps] == fresh, first
+        assert [_refusal(warm, w, cap) for cap in reversed(caps)] == fresh[::-1], first
 
 
 def _value_of_v(n, cap):
