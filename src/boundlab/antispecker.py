@@ -10,16 +10,16 @@ finite frontier M, verified level by level on the requested window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Mapping
 
+from ._record import record
 from .errors import BadCandidate, OracleNotTotal, ScheduleUnsound
 from .seq_opens import BasicOpen, compatible, compatible_nodes, count_nodes
 
 Node = tuple[int, ...]
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class StarOracle:
     """Per-index decision data: deciding depth and star/non-star labels.
 
@@ -58,7 +58,7 @@ def all_star_oracle(levels: Mapping[int, int]) -> StarOracle:
     return StarOracle(dict(levels), {}, default_star=True)
 
 
-@dataclass(frozen=True)
+@record
 class BoundedTree:
     """The subtree of the ambient open's tree with all entries below the bound."""
 

@@ -42,6 +42,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _Group(_Parser):
+    """A group's parser, which adds its commands (its _COMMANDS entry) only
+    when it parses, so a process builds the named group's commands alone."""
+
+    def __init__(self, *args, commands, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._commands = commands
+
+    def parse_known_args(self, args=None, namespace=None):
+        commands, self._commands = self._commands, None
+        if isinstance(commands, tuple):
+            _add_command(self, *commands)
+        elif commands:
+            cmds = self.add_subparsers(dest="cmd", metavar="CMD", parser_class=_Parser)
+            for name, (handler, arguments) in commands.items():
+                _add_command(cmds.add_parser(name), handler, arguments)
+        return super().parse_known_args(args, namespace)
+
+
 def _load_json(path: str) -> Any:
     with open(path, encoding="utf-8") as fh:
         try:
@@ -106,35 +125,25 @@ def _seq_force_range(args) -> Any:
     return open_to_json(force_value_into_range(p, args.value))
 
 
-def _fuse_bound(args) -> Any:
-    from .certificates import build
+def _cert(operation: str, inputs_of) -> Any:
+    """The handler that builds operation's certificate on inputs_of(args)."""
+    def handler(args) -> Any:
+        from ._certs import build
 
-    inputs = {
-        "p": _load_json(args.p),
-        "term": _load_json(args.term),
-        "level": args.level,
-    }
+        return build(operation, inputs_of(args))
+
+    return handler
+
+
+def _fuse_bound(args) -> dict:
+    inputs = {"p": _load_json(args.p), "term": _load_json(args.term), "level": args.level}
     if args.at is not None:
         inputs["at"] = args.at
-    return build("fuse.bound", inputs)
+    return inputs
 
 
-def _fuse_pseudo(args) -> Any:
-    from .certificates import build
-
-    return build("fuse.pseudo", _load_dict(args.job))
-
-
-def _fuse_dc(args) -> Any:
-    from .certificates import build
-
-    inputs = {
-        "p": _load_json(args.p),
-        "start": args.start,
-        "steps": args.steps,
-        "oracle": args.oracle,
-    }
-    return build("fuse.dc", inputs)
+def _fuse_dc(args) -> dict:
+    return {"p": _load_json(args.p), "start": args.start, "steps": args.steps, "oracle": args.oracle}
 
 
 def _set_intersect(args) -> Any:
@@ -169,16 +178,9 @@ def _set_seqbound(args) -> Any:
     return {"bound": sequential_bound(O, decided)}
 
 
-def _as_schedule(args) -> Any:
-    from .certificates import build
-
-    inputs = {
-        "q": _load_json(args.q),
-        "oracle": _load_json(args.oracle),
-        "level": args.level,
-        "horizon": args.horizon,
-    }
-    return build("as.schedule", inputs)
+def _as_schedule(args) -> dict:
+    q, oracle = _load_json(args.q), _load_json(args.oracle)
+    return {"q": q, "oracle": oracle, "level": args.level, "horizon": args.horizon}
 
 
 def _fp_v(args) -> Any:
@@ -196,13 +198,11 @@ def _fp_witness(args) -> Any:
     return {"k": args.k, "witness": unbounded_witness(args.k, args.budget)}
 
 
-def _fp_scenario(args) -> Any:
-    from .certificates import build
-
+def _fp_scenario(args) -> dict:
     inputs = {"seed": args.seed, "count": args.count, "window": args.window}
     if args.budget is not None:
         inputs["budget"] = args.budget
-    return build("fp.scenario", inputs)
+    return inputs
 
 
 def _ext_az(args) -> Any:
@@ -234,7 +234,7 @@ def _ext_fbeta(args) -> Any:
 
 
 def _verify(args) -> Any:
-    from .certificates import verify
+    from ._certs import verify
 
     cert = _load_json(args.certificate)
     verify(cert)
@@ -258,9 +258,9 @@ _COMMANDS: dict[str, tuple[str, Any]] = {
         "force-range": (_seq_force_range, ["open", ("--value", int, _REQUIRED)]),
     }),
     "fuse": ("good-extension and fusion constructions", {
-        "bound": (_fuse_bound, ["p", "term", ("--level", int, _REQUIRED), ("--at", int, None)]),
-        "pseudo": (_fuse_pseudo, ["job"]),
-        "dc": (_fuse_dc, [
+        "bound": (_cert("fuse.bound", _fuse_bound), ["p", "term", ("--level", int, _REQUIRED), ("--at", int, None)]),
+        "pseudo": (_cert("fuse.pseudo", lambda args: _load_dict(args.job)), ["job"]),
+        "dc": (_cert("fuse.dc", _fuse_dc), [
             "p", ("--start", int, _REQUIRED), ("--steps", int, _REQUIRED), ("--oracle", str, "successor"),
         ]),
     }),
@@ -270,14 +270,14 @@ _COMMANDS: dict[str, tuple[str, Any]] = {
         "seqbound": (_set_seqbound, ["job"]),
     }),
     "as": ("escape schedules for starred sequences", {
-        "schedule": (_as_schedule, [
+        "schedule": (_cert("as.schedule", _as_schedule), [
             "q", "oracle", ("--level", int, _REQUIRED), ("--horizon", int, _REQUIRED),
         ]),
     }),
     "fp": ("certified-convergence counterexample lab", {
         "v": (_fp_v, [("--max-n", int, _REQUIRED)]),
         "witness": (_fp_witness, [("--k", int, _REQUIRED)]),
-        "scenario": (_fp_scenario, [("--count", int, 5), ("--window", int, 20)]),
+        "scenario": (_cert("fp.scenario", _fp_scenario), [("--count", int, 5), ("--window", int, 20)]),
     }),
     "ext": ("functional-probing counterexample lab", {
         "az": (_ext_az, ["program", ("--support-bound", int, _REQUIRED), ("--value-bound", int, 4)]),
@@ -304,15 +304,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="boundlab", description=__doc__)
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized demos")
     parser.add_argument("--budget", type=int, default=None, help="machine step cap")
-    sub = parser.add_subparsers(dest="group", metavar="GROUP")
+    sub = parser.add_subparsers(dest="group", metavar="GROUP", parser_class=_Group)
     for group, (help_text, commands) in _COMMANDS.items():
-        g = sub.add_parser(group, help=help_text)
-        if isinstance(commands, tuple):
-            _add_command(g, *commands)
-        else:
-            cmds = g.add_subparsers(dest="cmd", metavar="CMD")
-            for name, (handler, arguments) in commands.items():
-                _add_command(cmds.add_parser(name), handler, arguments)
+        sub.add_parser(group, help=help_text, commands=commands)
     return parser
 
 
@@ -328,14 +322,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        if not hasattr(args, "handler"):
+            raise UsageError("missing subcommand")
+        if args.budget is not None and args.budget < 1:
+            raise UsageError(f"argument --budget: must be at least 1, got {args.budget}")
     except UsageError as e:
         print(dumps({"code": "Usage", "message": str(e)}), file=sys.stderr)
-        return 64
-    if not hasattr(args, "handler"):
-        print(dumps({"code": "Usage", "message": "missing subcommand"}), file=sys.stderr)
         return 64
     try:
         text = dumps(args.handler(args))

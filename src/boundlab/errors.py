@@ -1,10 +1,14 @@
-"""Domain errors shared across the workbench.
+"""Domain errors shared across the workbench, and the test for naturals.
 
 Every error carries a stable ``code`` string; the CLI maps any DomainError
 to exit status 2 with a ``{"code", "message"}`` JSON body.
 """
 
 from __future__ import annotations
+
+
+def is_nat(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 class DomainError(Exception):

@@ -21,8 +21,9 @@ part of the machine, so results stay a pure function of (w, z, budget)).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from math import isqrt
+
+from ._record import record
 
 
 def pair(a: int, b: int) -> int:
@@ -117,7 +118,7 @@ ARITY = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class Expr:
     op: str
     args: tuple[Expr, ...] = ()
@@ -512,7 +513,7 @@ def check_proof(j: int, w: int) -> bool:
     return apply_free(p) and encode(p) == w
 
 
-@dataclass(frozen=True)
+@record
 class TotalityCertificate:
     """A checkable totality claim: derivation code and the certified index."""
 

@@ -19,10 +19,10 @@ import functools
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
 
+from ._record import record
 from .errors import BadCertificate, BudgetExhausted, NoStabilization, TheoremViolated
 from .machine import (
     ARG,
@@ -44,7 +44,7 @@ from .machine import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class VTrace:
     n: int
     qualifying_ks: tuple[int, ...]
@@ -214,7 +214,7 @@ def random_scenario(rng: random.Random) -> tuple[Expr, TotalityCertificate]:
     return x, cert
 
 
-@dataclass(frozen=True)
+@record
 class FiniteSupportFn:
     """A function on naturals that is 0 beyond an explicit value list."""
 

@@ -9,15 +9,11 @@ subset tests all stay exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
-from .errors import EmptyOpenError, IncompatibleSeq, SplitOutOfRange
-
-
-def is_nat(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+from ._record import record
+from .errors import EmptyOpenError, IncompatibleSeq, SplitOutOfRange, is_nat
 
 
 def _nat(x: int, what: str) -> int:
@@ -26,7 +22,7 @@ def _nat(x: int, what: str) -> int:
     return x
 
 
-@dataclass(frozen=True)
+@record
 class BoundSchedule:
     """Total map n -> value: explicit entries, then base + slope*(n - len)."""
 
@@ -92,7 +88,7 @@ def min_schedule(a: BoundSchedule, b: BoundSchedule) -> BoundSchedule:
     return BoundSchedule(tuple(explicit), base, winner.tail_slope).normalized()
 
 
-@dataclass(frozen=True)
+@record
 class BasicOpen:
     """Nonempty basic open: prefix pinned below stem, schedule-bounded beyond."""
 
@@ -123,7 +119,7 @@ class BasicOpen:
         return max([self.schedule.value(i) for i in range(self.stem)], default=0)
 
 
-@dataclass(frozen=True)
+@record
 class EmptyOpen:
     """The empty open; an explicit value, never an error by itself."""
 
@@ -147,7 +143,7 @@ def make_open(stem: int, explicit: Iterable[int], base: int, slope: int = 1) -> 
     return BasicOpen(stem, BoundSchedule(tuple(explicit), base, slope))
 
 
-@dataclass(frozen=True)
+@record
 class Point:
     """Eventually constant sequence: explicit prefix, then a constant tail."""
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any
 
+from .errors import is_nat
+
 if TYPE_CHECKING:
     from .antispecker import StarOracle
     from .seq_opens import Open, Point
@@ -33,8 +35,6 @@ def _expect(cond: bool, what: str) -> None:
 
 
 def _nat_field(d: dict, key: str) -> int:
-    from .seq_opens import is_nat
-
     _expect(key in d, f"missing field {key!r}")
     x = d[key]
     _expect(is_nat(x), f"field {key!r} must be a natural")
@@ -42,8 +42,6 @@ def _nat_field(d: dict, key: str) -> int:
 
 
 def _nat_list(xs: Any, what: str) -> list[int]:
-    from .seq_opens import is_nat
-
     _expect(isinstance(xs, list), f"{what} must be a list")
     for x in xs:
         _expect(is_nat(x), f"{what} entries must be naturals")

@@ -10,10 +10,10 @@ to a prefix-free representative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from typing import Callable, Iterable
 
+from ._record import record
 from .errors import EmptyOpenError, InconsistentTermFamily, NotAPoint, NotASubopen
 from .seq_opens import _nat
 
@@ -24,7 +24,7 @@ def _bit(x: int, what: str) -> int:
     return x
 
 
-@dataclass(frozen=True)
+@record
 class PeriodicSet:
     """Eventually periodic subset of the naturals: prefix bits, then a cycle.
 
@@ -117,7 +117,7 @@ def finite_set(members: Iterable[int]) -> PeriodicSet:
     return PeriodicSet(tuple(bits), (0,))
 
 
-@dataclass(frozen=True)
+@record
 class SetOpen:
     """Basic open: members include every positive entry and meet the
     negative part only finitely.  Emptiness is computed, never stored."""

@@ -9,9 +9,9 @@ a default outside every guard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
 
+from ._record import record
 from .errors import AmbiguousAmalgamation, EmptyOpenError, TermNotTotal
 from .seq_opens import (
     BasicOpen,
@@ -26,7 +26,7 @@ from .seq_opens import (
 Node = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class DecisionTerm:
     """Plain finite decision table: length-`modulus` node -> value."""
 
@@ -45,7 +45,7 @@ def constant_term(value: int) -> DecisionTerm:
     return DecisionTerm(0, {(): value})
 
 
-@dataclass(frozen=True)
+@record
 class RangeTerm:
     """Decision table with a per-node witness position certifying the value.
 
@@ -110,13 +110,13 @@ def decide_term(p: Open, t: Term) -> int | None:
     return values.pop() if len(values) == 1 else None
 
 
-@dataclass(frozen=True)
+@record
 class GuardedPart:
     guard: BasicOpen
     body: Term
 
 
-@dataclass(frozen=True)
+@record
 class GuardedTerm:
     """Per-guard decision terms with a default value outside every guard."""
 
@@ -180,11 +180,11 @@ def amalgamate(parts: Sequence[tuple[BasicOpen, Term]]) -> GuardedTerm:
     return GuardedTerm(tuple(built), 0)
 
 
-@dataclass(frozen=True)
+@record(ignore=("generator",))
 class TermSequence:
     """Countable family n -> term, given by a generator function."""
 
-    generator: Callable[[int], Term] = field(compare=False)
+    generator: Callable[[int], Term]
 
     def __call__(self, n: int) -> Term:
         return self.generator(n)

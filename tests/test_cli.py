@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from boundlab import cli
 from boundlab.realizability import unbounded_witness, v
 from boundlab.seq_opens import intersect, make_open
@@ -372,3 +374,23 @@ def test_seqbound_with_a_non_list_neighborhood_exits_65(tmp_path):
     res = run_cli("set", "seqbound", write(tmp_path, "job.json", job))
     assert res.returncode == 65, res.stdout + res.stderr
     assert json.loads(res.stdout)["code"] == "MalformedInput"
+
+
+BUDGET_COMMANDS = {
+    "fp_v": ["fp", "v", "--max-n", "3"],
+    "fp_witness": ["fp", "witness", "--k", "3"],
+    "fp_scenario": ["fp", "scenario", "--count", "1", "--window", "3"],
+    "ext_az": ["ext", "az", "(succ arg)", "--support-bound", "2"],
+    "ext_fbeta": ["ext", "fbeta", "(succ arg)", "--m", "1"],
+}
+
+
+@pytest.mark.parametrize("name", BUDGET_COMMANDS)
+def test_a_global_budget_below_one_is_one_usage_error(name):
+    for budget in ("0", "-3"):
+        res = run_cli("--budget", budget, *BUDGET_COMMANDS[name])
+        assert (res.returncode, res.stdout) == (64, ""), res.stdout + res.stderr
+        assert json.loads(res.stderr) == {
+            "code": "Usage",
+            "message": f"argument --budget: must be at least 1, got {budget}",
+        }

@@ -1,8 +1,11 @@
 """The package's public surface, and the layers each CLI command loads.
 
-`import boundlab` resolves its public names on first use, and the CLI
-imports a layer only in the handlers that run it; these tests pin both the
-names and which `boundlab.*` modules a fresh process loads per command."""
+`import boundlab` resolves its public names on first use, the CLI imports a
+layer only in the handlers that run it, and each certificate operation (in
+`boundlab._certs`, which the CLI imports) only the layers it runs; these
+tests pin both the names and which `boundlab.*` modules a fresh process
+loads per command.  No command loads `dataclasses` or the `inspect` module
+it imports."""
 
 import json
 import subprocess
@@ -90,22 +93,29 @@ def test_an_unknown_name_raises_attribute_error():
 # --- modules loaded per command --------------------------------------------
 
 # Runs the CLI like `python -m boundlab`, then reports on stderr which
-# boundlab layers the process loaded.
+# boundlab layers the process loaded, and which of dataclasses and inspect
+# it imported (an interpreter whose start-up loads them is not counted).
 PROBE = """
 import json, sys
+at_start = set(sys.modules)
 from boundlab.cli import main
 code = main(sys.argv[1:])
-sys.stderr.write(json.dumps(sorted(m[len("boundlab."):] for m in sys.modules if m.startswith("boundlab."))))
+sys.stderr.write(json.dumps(sorted(
+    m[len("boundlab."):] if m.startswith("boundlab.") else m
+    for m in set(sys.modules) - at_start if m.startswith("boundlab.") or m in ("dataclasses", "inspect")
+)))
 raise SystemExit(code)
 """
 
 
-def loaded(*argv):
+def loaded(*argv, cwd=None):
     res = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", PROBE, *argv], capture_output=True, text=True, timeout=120, cwd=cwd
     )
     assert res.returncode == 0, res.stdout + res.stderr
-    return set(json.loads(res.stderr)), res.stdout
+    modules = set(json.loads(res.stderr))
+    assert not modules & {"dataclasses", "inspect"}, argv
+    return modules, res.stdout
 
 
 OPEN = {"stem": 1, "explicit": [2], "base": 3, "slope": 1}
@@ -118,7 +128,7 @@ OPEN = {"stem": 1, "explicit": [2], "base": 3, "slope": 1}
 def test_machine_commands_load_no_open_layer(argv):
     modules, _ = loaded(*argv)
     assert {"machine", "realizability"} <= modules
-    assert not modules & {"seq_opens", "terms", "fusion", "antispecker", "set_opens", "certificates"}
+    assert not modules & {"seq_opens", "terms", "fusion", "antispecker", "set_opens", "certificates", "_certs"}
 
 
 def test_seq_commands_load_no_machine(tmp_path):
@@ -133,7 +143,7 @@ def test_fusion_certificates_build_and_replay_without_the_machine(tmp_path):
     a = tmp_path / "a.json"
     a.write_text(json.dumps(OPEN))
     modules, cert = loaded("fuse", "dc", str(a), "--start", "1", "--steps", "2")
-    assert {"fusion", "certificates"} <= modules
+    assert {"fusion", "_certs"} <= modules
     assert not modules & {"machine", "realizability", "set_opens"}
 
     path = tmp_path / "cert.json"
@@ -141,3 +151,80 @@ def test_fusion_certificates_build_and_replay_without_the_machine(tmp_path):
     modules, out = loaded("verify", str(path))
     assert json.loads(out) == {"ok": True, "operation": "fuse.dc"}
     assert not modules & {"machine", "realizability", "set_opens"}
+
+
+CERTIFICATES_PROBE = """
+import json, sys
+at_start = set(sys.modules)
+import boundlab.certificates
+print(json.dumps(sorted(set(sys.modules) - at_start)))
+"""
+
+
+def test_the_public_certificates_module_loads_the_open_layers():
+    # perfbench's tracer wraps their functions after importing it and looks
+    # them up in sys.modules
+    res = subprocess.run(
+        [sys.executable, "-c", CERTIFICATES_PROBE], capture_output=True, text=True, timeout=120
+    )
+    modules = set(json.loads(res.stdout))
+    assert {f"boundlab.{m}" for m in ("seq_opens", "terms", "fusion", "antispecker")} <= modules
+    assert not modules & {"boundlab.machine", "dataclasses", "inspect"}
+
+
+# The command corpus of tests/test_corpus.py, each with the layers it must
+# not load; a command that prints a certificate is followed by `verify` of
+# it, which must not load them either.
+CORPUS_FILES = {
+    "p.json": {"stem": 0, "explicit": [], "base": 2, "slope": 1},
+    "t.json": {"modulus": 1, "table": [{"node": [i], "value": i, "witness": 0} for i in range(3)]},
+    "job.json": {
+        "p": {"stem": 0, "explicit": [], "base": 1, "slope": 1},
+        "point": {"prefix": [], "tail_value": 0},
+        "stages": 2,
+        "terms": [{"modulus": 1, "table": [{"node": [i], "value": i, "witness": 0} for i in range(2)]}] * 3,
+    },
+    "oracle.json": {
+        "levels": [[n, n + 1] for n in range(7)],
+        "labels": [{"n": 0, "node": [0], "star": False}],
+        "default_star": True,
+    },
+    "seqjob.json": {
+        "open": {"P": [2, 9], "N": {"prefix_bits": "", "period_bits": "10"}},
+        "decided": [{"neighborhood": [9], "value": 9}, {"neighborhood": [2], "value": 2}],
+    },
+}
+OPEN_LAYERS = {"seq_opens", "terms", "fusion", "antispecker", "set_opens"}
+MACHINE = {"machine", "realizability"}
+CORPUS = {
+    "fp_v": (["fp", "v", "--max-n", "25"], OPEN_LAYERS | {"certificates", "_certs"}),
+    "fp_witness": (["fp", "witness", "--k", "6"], OPEN_LAYERS | {"certificates", "_certs"}),
+    "fp_scenario": (["--seed", "7", "fp", "scenario", "--count", "3", "--window", "6"], OPEN_LAYERS),
+    "seq_intersect": (["seq", "intersect", "p.json", "p.json"], MACHINE | OPEN_LAYERS - {"seq_opens"}),
+    "set_seqbound": (["set", "seqbound", "seqjob.json"], MACHINE | {"terms", "fusion", "antispecker"}),
+    "fuse_bound": (["fuse", "bound", "p.json", "t.json", "--level", "1"], MACHINE | {"antispecker", "set_opens"}),
+    "fuse_pseudo": (["fuse", "pseudo", "job.json"], MACHINE | {"antispecker", "set_opens"}),
+    "fuse_dc": (["fuse", "dc", "p.json", "--start", "2", "--steps", "3"], MACHINE | {"antispecker", "set_opens"}),
+    "as_schedule": (
+        ["as", "schedule", "p.json", "oracle.json", "--level", "1", "--horizon", "6"],
+        MACHINE | {"terms", "fusion", "set_opens"},
+    ),
+    "ext_az": (["ext", "az", "(apply arg (const 1))", "--support-bound", "4"], OPEN_LAYERS | {"certificates", "_certs"}),
+    "ext_fbeta": (["ext", "fbeta", "(succ arg)", "--m", "2", "--value-bound", "2"], OPEN_LAYERS | {"certificates", "_certs"}),
+}
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_each_corpus_command_and_its_verify_load_only_their_layers(name, tmp_path):
+    for file, payload in CORPUS_FILES.items():
+        (tmp_path / file).write_text(json.dumps(payload))
+    argv, unused = CORPUS[name]
+    modules, out = loaded(*argv, cwd=tmp_path)
+    assert not modules & unused, sorted(modules & unused)
+    if not out.startswith('{"format": "boundlab-cert/1"'):
+        return
+    (tmp_path / "cert.json").write_text(out)
+    modules, out = loaded("verify", "cert.json", cwd=tmp_path)
+    assert json.loads(out)["ok"] is True
+    assert "_certs" in modules
+    assert not modules & unused, sorted(modules & unused)
