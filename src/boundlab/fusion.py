@@ -30,12 +30,12 @@ from .seq_opens import (
     split,
 )
 from .terms import (
+    GuardedPart,
     GuardedTerm,
     Node,
     Term,
     TermSequence,
     amalgamate,
-    decide_guarded,
     decide_term,
     term_values,
 )
@@ -151,28 +151,27 @@ StepOracle = Callable[[int | GuardedTerm, BasicOpen], tuple[Term, int]]
 
 
 def dc_chain(p: Open, step_oracle: StepOracle, a0: int, steps: int) -> tuple[list[BasicOpen], list[int | GuardedTerm]]:
-    """Iterate witness extraction: each stage decides the step term on every
-    node of p's depth cover, at least as deep as the first position where
-    the schedule reaches I + stage, and amalgamates those pieces.  Total
-    step terms need no shrinking, so every chain entry is p itself."""
+    """Iterate witness extraction: each stage decides the step term once per
+    node of p's depth cover, at least as deep as the first position where g
+    reaches I + stage.  Those pieces pin distinct prefixes, so they are
+    disjoint: the witness is their common value, else their guarded term.
+    Total step terms need no shrinking, so every chain entry is p itself."""
     if is_empty(p):
         raise EmptyOpenError("cannot build a chain below the empty open")
     I = p.g(p.stem)
-    chain: list[BasicOpen] = [p]
     witnesses: list[int | GuardedTerm] = [a0]
     for stage in range(1, steps + 1):
         term, depth = step_oracle(witnesses[-1], p)
         M = p.stem
         while p.g(M) < I + stage:
             M += 1
-        parts: list[tuple[BasicOpen, Term]] = []
+        parts: list[GuardedPart] = []
+        values: set[int | None] = set()
         for node in compatible_nodes(p, max(depth, M)):
             piece = restrict_by_seq(p, node)
-            if decide_term(piece, term) is None:
+            values.add(decide_term(piece, term))
+            if None in values:
                 raise OracleNotTotal(f"step term undecided on node {node} at stage {stage}")
-            parts.append((piece, term))
-        guarded = amalgamate(parts)
-        decided = decide_guarded(p, guarded)
-        chain.append(p)
-        witnesses.append(decided if decided is not None else guarded)
-    return chain, witnesses
+            parts.append(GuardedPart(piece, term))
+        witnesses.append(values.pop() if len(values) == 1 else GuardedTerm(tuple(parts), 0))
+    return [p] * (steps + 1), witnesses

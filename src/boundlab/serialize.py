@@ -72,7 +72,9 @@ def open_from_json(d: Any) -> Open:
     from .seq_opens import EMPTY, make_open
 
     d = _dict(d, "open")
-    if d.get("empty"):
+    empty = d.get("empty", False)
+    _expect(isinstance(empty, bool), "field 'empty' must be a boolean")
+    if empty:
         return EMPTY
     stem = _nat_field(d, "stem")
     explicit = _nat_list(d.get("explicit", []), "explicit")

@@ -29,10 +29,11 @@ from boundlab.machine import (
     unpair,
 )
 from boundlab import machine, realizability
+from boundlab.errors import EmptyOpenError, OracleNotTotal
 from boundlab.realizability import least_distinguishing_fn
-from boundlab.seq_opens import BasicOpen, Open, Point, is_empty, make_open
+from boundlab.seq_opens import BasicOpen, Open, Point, compatible_nodes, is_empty, make_open, restrict_by_seq
 from boundlab.set_opens import PeriodicSet, SetOpen
-from boundlab.terms import RangeTerm
+from boundlab.terms import RangeTerm, amalgamate, decide_guarded, decide_term
 
 
 # --- sequence-space points and opens --------------------------------------
@@ -141,6 +142,35 @@ def lowered_windows(o: BasicOpen, t: RangeTerm, I: int, M: int) -> list[tuple[in
         if all(t.value_at(nd) <= I for nd in (tuple(x) for x in product(*node_ranges))):
             out.append(cand)
     return out
+
+
+# --- dependent-choice chains, glued and decided the long way ---------------
+
+def dc_chain_reference(p: Open, step_oracle, a0: int, steps: int):
+    """`fusion.dc_chain` with each stage built in three passes: decide every
+    piece of the depth cover, glue the pieces with the all-pairs
+    `amalgamate`, then decide the glued term over p with `decide_guarded`."""
+    if is_empty(p):
+        raise EmptyOpenError("cannot build a chain below the empty open")
+    I = p.g(p.stem)
+    chain = [p]
+    witnesses = [a0]
+    for stage in range(1, steps + 1):
+        term, depth = step_oracle(witnesses[-1], p)
+        M = p.stem
+        while p.g(M) < I + stage:
+            M += 1
+        parts = []
+        for node in compatible_nodes(p, max(depth, M)):
+            piece = restrict_by_seq(p, node)
+            if decide_term(piece, term) is None:
+                raise OracleNotTotal(f"step term undecided on node {node} at stage {stage}")
+            parts.append((piece, term))
+        guarded = amalgamate(parts)
+        decided = decide_guarded(p, guarded)
+        chain.append(p)
+        witnesses.append(decided if decided is not None else guarded)
+    return chain, witnesses
 
 
 # --- the machine's evaluator, one frame for the depth and one per node ----

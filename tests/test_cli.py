@@ -376,6 +376,23 @@ def test_seqbound_with_a_non_list_neighborhood_exits_65(tmp_path):
     assert json.loads(res.stdout)["code"] == "MalformedInput"
 
 
+@pytest.mark.parametrize("flag", ["no", 1, None])
+def test_an_open_whose_empty_field_is_not_a_boolean_exits_65(tmp_path, flag):
+    odd = write(tmp_path, "odd.json", {"empty": flag})
+    res = run_cli("seq", "intersect", odd, write(tmp_path, "a.json", OPEN_A))
+    assert res.returncode == 65, res.stdout + res.stderr
+    assert json.loads(res.stdout) == {"code": "MalformedInput", "message": "field 'empty' must be a boolean"}
+
+
+def test_an_open_whose_empty_field_is_false_reads_its_schedule(tmp_path):
+    a = write(tmp_path, "a.json", OPEN_A)
+    b = write(tmp_path, "b.json", {"empty": False, **OPEN_A})
+    res = run_cli("seq", "intersect", b, a)
+    assert (res.returncode, res.stdout) == (0, run_cli("seq", "intersect", a, a).stdout), res.stderr
+    res = run_cli("seq", "intersect", write(tmp_path, "e.json", {"empty": True}), a)
+    assert (res.returncode, json.loads(res.stdout)) == (0, {"empty": True})
+
+
 BUDGET_COMMANDS = {
     "fp_v": ["fp", "v", "--max-n", "3"],
     "fp_witness": ["fp", "witness", "--k", "3"],

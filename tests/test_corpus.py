@@ -53,6 +53,9 @@ ORACLE_TOTAL = {
     ],
     "default_star": False,
 }
+# perfbench's fuse.dc ladder open; four steps cover it at depths 3 to 6
+# (3,024 nodes at the last stage).
+LADDER = {"stem": 2, "explicit": [3, 2], "base": 5}
 SEQ_JOB = {
     "open": {"P": [2, 9], "N": {"prefix_bits": "", "period_bits": "10"}},
     "decided": [{"neighborhood": [9], "value": 9}, {"neighborhood": [2], "value": 2}],
@@ -68,6 +71,7 @@ FILES = {
     "unsound.json": ORACLE_UNSOUND,
     "total.json": ORACLE_TOTAL,
     "seqjob.json": SEQ_JOB,
+    "ladder.json": LADDER,
 }
 
 # name -> argv; "@f" stands for the input file f, "^name" for the stdout of
@@ -94,6 +98,8 @@ COMMANDS = [
     ("as_schedule_unsound", ["as", "schedule", "@q.json", "@unsound.json", "--level", "1", "--horizon", "4"]),
     ("as_schedule_total", ["as", "schedule", "@q.json", "@total.json", "--level", "1", "--horizon", "3"]),
     ("verify_as_schedule_total", ["verify", "^as_schedule_total"]),
+    ("fuse_dc_ladder", ["fuse", "dc", "@ladder.json", "--start", "3", "--steps", "4"]),
+    ("verify_fuse_dc_ladder", ["verify", "^fuse_dc_ladder"]),
 ]
 
 # name -> (exit code, sha256 of stdout)
@@ -119,6 +125,10 @@ EXPECTED = {
     "as_schedule_unsound": (2, "76619c07e3f76d766df2d423613cb56d77bd9d5934703e79afff56ef7c05b7a9"),
     "as_schedule_total": (0, "33627b4a52ef97f6a7f9ab74a6a010eb039ffc6bfbcbcbcd7be9ea9c00a1ac8c"),
     "verify_as_schedule_total": (0, "d53a2d616b166ff00c632723bc4b634acbb65972ededc3dba4d054d1a32520f8"),
+    # Taken while each dc stage still amalgamated its pieces pairwise (then
+    # about 55 s for the pair).
+    "fuse_dc_ladder": (0, "bd8f5848aa3b0ea72f37c26539a85b8b2365e3318948ea646012fb2f36966713"),
+    "verify_fuse_dc_ladder": (0, "68f840e7b0750300bed3cb66da956f941472b164001a6a1d2bd90b7d241c8478"),
 }
 
 

@@ -155,12 +155,14 @@ def test_mutated_scenario_certificates_keep_the_contract(data):
 
 # --- mutated fusion and escape inputs ------------------------------------
 
-# These constructions grow fast in their sizes (a dc stage amalgamates every
-# node of a cover pairwise), so the seeds are small and the edits write only
-# integers in [-3, 2]: stems, schedule entries, slopes, moduli, levels,
-# horizons and dc steps are at most 2 where an edit sets them and at most 4
-# in the seeds, so no run reaches depth 6 or 400 cover nodes (the worst, a
-# dc open edited to explicit [2, 2, 2], covers 324 nodes at depth 5).
+# These constructions grow fast in their sizes (a dc stage decides the step
+# term on each node of its cover, which grows by a factor g(n) + 1 for each
+# free position n, and a bound recurses through every split), so the seeds
+# are small and the edits write only integers in [-3, 2]: stems, schedule
+# entries, slopes, moduli, levels, horizons and dc steps are at most 2 where
+# an edit sets them and at most 4 in the seeds, so no run reaches depth 6 or
+# 400 cover nodes (the worst, a dc open edited to explicit [2, 2, 2], covers
+# 324 nodes at depth 5).
 SMALL_FIELDS = [
     "stem", "explicit", "base", "slope", "empty", "prefix", "tail_value", "modulus", "table",
     "node", "value", "witness", "levels", "labels", "n", "star", "default_star", "p", "term",

@@ -1,10 +1,12 @@
 """Fusion engine: bounding terms, stage chains, witness extraction."""
 
 import random
+from collections import Counter
 
 import pytest
 
-from boundlab.errors import BadCandidate, OracleNotTotal, PointNotInOpen
+from boundlab import fusion, seq_opens, terms
+from boundlab.errors import BadCandidate, OracleNotTotal, PointNotInOpen, TermNotTotal
 from boundlab.fusion import (
     bound_range_term,
     bound_range_term_at,
@@ -16,7 +18,7 @@ from boundlab.fusion import (
 from boundlab.seq_opens import Point, count_nodes, make_open, member, restrict_by_seq, split, subset
 from boundlab.terms import DecisionTerm, GuardedTerm, TermSequence, constant_term, decide_guarded, range_term_from
 
-from oracles import lowered_windows, nodes_brute, random_open, random_range_term
+from oracles import dc_chain_reference, lowered_windows, nodes_brute, random_open, random_range_term
 
 
 def _identity1(o):
@@ -305,3 +307,98 @@ def test_dc_chain_keeps_the_open_and_refuses_an_undecided_step():
 
     with pytest.raises(OracleNotTotal, match=r"undecided on node \(1, 0\) at stage 2$"):
         dc_chain(p, step, 0, 2)
+
+
+def _cut(p, stage):
+    """The first position where p's schedule reaches g(stem) + stage, as
+    dc_chain cuts there."""
+    M = p.stem
+    while p.g(M) < p.g(p.stem) + stage:
+        M += 1
+    return M
+
+
+def _random_step_oracle(seed):
+    """A step oracle whose draws come from its own stream, so two chains
+    built with the same seed see the same terms.  Each stage covers p at
+    depth D (its cut, or one deeper) and draws one of: a constant term; a
+    range term of modulus at most D, decided on every piece but split
+    between them; a table of modulus D whose values may agree; a table that
+    reads position D below one cover node, so that piece alone is
+    undecided; a table missing one node."""
+    rng = random.Random(seed)
+    stage = 0
+
+    def step(w, cur):
+        nonlocal stage
+        stage += 1
+        depth = _cut(cur, stage) + rng.randrange(2)
+        kind = rng.choice(["constant", "range", "table", "undecided", "missing"])
+        if kind == "constant":
+            return constant_term(w + 1 if isinstance(w, int) else len(w.parts)), depth
+        if kind == "range":
+            return random_range_term(rng, cur, rng.randrange(1, depth + 1)), depth
+        if kind == "table":
+            return DecisionTerm(depth, {nd: rng.randrange(2) for nd in nodes_brute(cur, depth)}), depth
+        if kind == "undecided":
+            target = rng.choice(nodes_brute(cur, depth))
+            table = {nd: nd[depth] if nd[:depth] == target else 0 for nd in nodes_brute(cur, depth + 1)}
+            return DecisionTerm(depth + 1, table), depth
+        modulus = rng.randrange(0, depth + 1)
+        table = {nd: sum(nd) for nd in nodes_brute(cur, modulus)}
+        del table[rng.choice(sorted(table))]
+        return DecisionTerm(modulus, table), depth
+
+    return step
+
+
+def _chain_outcome(build, p, seed, a0, steps):
+    try:
+        return build(p, _random_step_oracle(seed), a0, steps)
+    except (OracleNotTotal, TermNotTotal) as exc:
+        return type(exc), str(exc)
+
+
+def test_dc_chain_matches_the_amalgamating_reference():
+    """dc_chain gives the chain, the witnesses and the refusal that deciding,
+    amalgamating and deciding again gives, on random opens and steps."""
+    rng = random.Random(1717)
+    seen = Counter()
+    checked = 0
+    while checked < 150:
+        p = random_open(rng, max_stem=2, max_value=2, extra=2, max_slope=2)
+        steps = rng.randrange(1, 4)
+        if count_nodes(p, _cut(p, steps) + 1) > 150:
+            continue
+        seed, a0 = rng.randrange(10**6), rng.randrange(3)
+        got = _chain_outcome(dc_chain, p, seed, a0, steps)
+        assert got == _chain_outcome(dc_chain_reference, p, seed, a0, steps), (p, seed, a0, steps)
+        if isinstance(got[0], type):
+            seen[got[0].__name__] += 1
+        else:
+            seen.update(type(w).__name__ for w in got[1][1:])
+        checked += 1
+    assert min(seen[k] for k in ("int", "GuardedTerm", "OracleNotTotal", "TermNotTotal")) >= 10, seen
+
+
+def test_a_dc_stage_walks_its_cover_once(monkeypatch):
+    """One dc_chain stage decides the step term once per cover node and makes
+    no intersect or subset test: its pieces are disjoint by construction."""
+    calls = Counter()
+    for module in (seq_opens, terms, fusion):
+        for name in ("intersect", "subset", "decide_term", "compatible_nodes"):
+            real = getattr(module, name, None)
+            if real is not None:
+                def counted(*args, _real=real, _key=(module.__name__, name), **kwargs):
+                    calls[_key] += 1
+                    return _real(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+    p = make_open(0, [], 2, 1)
+    first_entry = DecisionTerm(1, {nd: nd[0] for nd in nodes_brute(p, 1)})
+    for term, witness in ((first_entry, GuardedTerm), (constant_term(4), int)):
+        calls.clear()
+        _, witnesses = dc_chain(p, lambda w, cur: (term, 2), 0, 1)
+        assert isinstance(witnesses[1], witness)
+        assert calls[("boundlab.fusion", "compatible_nodes")] == 1
+        assert sum(n for (_, name), n in calls.items() if name == "decide_term") == count_nodes(p, 2) == 12
+        assert sum(n for (_, name), n in calls.items() if name in ("intersect", "subset")) == 0, calls
