@@ -3,10 +3,10 @@
 A certificate records an operation name, its full serialized inputs, the
 derivation trace, and the outputs.  Because every certified operation is
 deterministic given its inputs (randomized ones record their seed), the
-verifier replays the construction from the recorded inputs and demands a
-bit-exact match; before replaying it also re-checks the cheap per-row
-facts in the trace, so a tampered artifact fails even when the mismatch
-sits inside the trace rather than the outputs.
+verifier replays the construction from the recorded inputs and demands the
+same canonical JSON text; before replaying it also re-checks the cheap
+per-row facts in the trace, so a tampered artifact fails even when the
+mismatch sits inside the trace rather than the outputs.
 
 Each operation imports its own layers when it runs, so building or
 replaying a certificate loads no other: ``fp.scenario`` loads the machine
@@ -24,6 +24,7 @@ from .serialize import (
     FormatError,
     _expect,
     _nat_field,
+    dumps,
     open_from_json,
     open_to_json,
     oracle_from_json,
@@ -57,7 +58,7 @@ def _build_fuse_bound(inputs: dict) -> dict:
     if at is None:
         q = bound_range_term(p, t, level)
     else:
-        _expect(isinstance(at, int) and at >= 0, "field 'at' must be a natural")
+        _expect(is_nat(at), "field 'at' must be a natural")
         q = bound_range_term_at(p, t, level, at)
     decisions = [
         {"node": list(node), "value": t.value_at(node), "witness": t.witness_at(node)}
@@ -219,11 +220,12 @@ def verify(cert: Any) -> dict:
         raise BadCertificate(f"unknown certified operation {op!r}")
     try:
         _check_rows(cert)
-        rebuilt = build(op, cert["inputs"])
+        # As canonical text, where 2.0 is not 2 and true is not 1.
+        same = dumps(build(op, cert["inputs"])) == dumps(cert)
     except BadCertificate:
         raise
     except (DomainError, FormatError, ValueError, KeyError, TypeError) as e:
         raise BadCertificate(f"replay failed: {e}") from e
-    if rebuilt != cert:
+    if not same:
         raise BadCertificate("replay did not reproduce the recorded artifact")
     return cert["outputs"]

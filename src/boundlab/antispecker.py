@@ -10,6 +10,7 @@ finite frontier M, verified level by level on the requested window.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Iterator, Mapping
 
 from ._record import record
@@ -70,15 +71,11 @@ class BoundedTree:
             raise ValueError(f"bound must be a positive integer, got {self.bound!r}")
 
 
-def _level(q: BasicOpen, depth: int, cap: int | None) -> Iterator[Node]:
-    if depth < q.stem:
-        raise ValueError("depth must reach the ambient stem")
-    return compatible_nodes(q, depth, cap)
-
-
 def enumerate_level(tree: BoundedTree, depth: int) -> list[Node]:
     """All nodes of the bounded tree at the given depth, lexicographically."""
-    return list(_level(tree.ambient, depth, tree.bound - 1))
+    if depth < tree.ambient.stem:
+        raise ValueError("depth must reach the ambient stem")
+    return list(compatible_nodes(tree.ambient, depth, tree.bound - 1))
 
 
 def level_count(tree: BoundedTree, depth: int) -> int:
@@ -94,7 +91,7 @@ def _nonstar(oracle: StarOracle, n: int, depth: int, walk: BasicOpen, cap: int |
         raise ValueError("depth must reach the ambient stem")
     if oracle.default_star:
         return (node for node in oracle.nonstar_listed(n) if len(node) == depth)
-    return (node for node in _level(walk, depth, cap) if not oracle.is_star(n, node))
+    return (node for node in compatible_nodes(walk, depth, cap) if not oracle.is_star(n, node))
 
 
 def nonstar_nodes(tree: BoundedTree, oracle: StarOracle, n: int) -> list[Node]:
@@ -114,45 +111,35 @@ def _build(q: BasicOpen, oracle: StarOracle, I: int, horizon: int):
     vis_cap = max((q.g(k) for k in range(q.stem, top + 1)), default=0)
 
     # r is q with every segment written so far; past the frontier it is q.
-    r = q
-    frontier = q.stem - 1
-    j_first: int | None = None
-    frames: list[dict] = []
-    stage = 0
-    while True:
+    r, frontier, frames = q, q.stem - 1, []
+    for stage in count():
         cap = I + stage + 1
         # Non-star nodes inside the stage subtree past the frontier, asked
-        # about along q's capped nodes.
-        lengths = [
+        # about along q's capped nodes; only the deepest is kept.
+        lengths = (
             depth
             for n, depth in levels.items()
             if depth > frontier
             and any(compatible(r, node, cap) for node in _nonstar(oracle, n, depth, q, cap))
-        ]
-        if not lengths:
-            frames.append({"stage": stage, "cap": cap, "nonstar_max": None, "wrote": None, "values": []})
-            if stage == 0 and j_first is None:
-                j_first = q.stem - 1
-            if cap >= vis_cap:
-                break
-            stage += 1
-            continue
-        j_new = max(lengths)
-        if j_new >= top:
-            raise ScheduleUnsound(
-                f"non-star nodes reach the top visible level {top}; escape not certifiable"
-            )
-        written = [min(q.g(k), I + stage) for k in range(frontier + 1, j_new + 1)]
-        r = BasicOpen(q.stem, r.schedule.overwrite(frontier + 1, written))
-        wrote = [frontier + 1, j_new]
+        )
+        j_new = max(lengths, default=None)
+        wrote, written = None, []
+        if j_new is not None:
+            if j_new >= top:
+                raise ScheduleUnsound(
+                    f"non-star nodes reach the top visible level {top}; escape not certifiable"
+                )
+            wrote = [frontier + 1, j_new]
+            written = [min(q.g(k), I + stage) for k in range(frontier + 1, j_new + 1)]
+            r = BasicOpen(q.stem, r.schedule.overwrite(frontier + 1, written))
+            frontier = j_new
         frames.append({"stage": stage, "cap": cap, "nonstar_max": j_new, "wrote": wrote, "values": written})
-        if j_first is None:
-            j_first = j_new
-        frontier = j_new
-        stage += 1
+        if stage == 0:
+            cut = frontier
+        if j_new is None and cap >= vis_cap:
+            break
 
-    cut = j_first if j_first is not None else q.stem - 1
-    M = max([n for n, depth in levels.items() if depth <= cut], default=0)
+    M = max((n for n, depth in levels.items() if depth <= cut), default=0)
 
     for m in range(M + 1, horizon + 1):
         if any(compatible(r, node) for node in _nonstar(oracle, m, levels[m], r, None)):

@@ -80,7 +80,7 @@ def open_from_json(d: Any) -> Open:
     explicit = _nat_list(d.get("explicit", []), "explicit")
     base = _nat_field(d, "base")
     slope = d.get("slope", 1)
-    _expect(isinstance(slope, int) and slope >= 1, "field 'slope' must be a positive integer")
+    _expect(is_nat(slope) and slope >= 1, "field 'slope' must be a positive integer")
     return make_open(stem, explicit, base, slope)
 
 

@@ -29,9 +29,18 @@ from boundlab.machine import (
     unpair,
 )
 from boundlab import machine, realizability
-from boundlab.errors import EmptyOpenError, OracleNotTotal
+from boundlab.errors import BadCandidate, EmptyOpenError, OracleNotTotal, ScheduleUnsound
 from boundlab.realizability import least_distinguishing_fn
-from boundlab.seq_opens import BasicOpen, Open, Point, compatible_nodes, is_empty, make_open, restrict_by_seq
+from boundlab.seq_opens import (
+    BasicOpen,
+    Open,
+    Point,
+    compatible,
+    compatible_nodes,
+    is_empty,
+    make_open,
+    restrict_by_seq,
+)
 from boundlab.set_opens import PeriodicSet, SetOpen
 from boundlab.terms import RangeTerm, amalgamate, decide_guarded, decide_term
 
@@ -171,6 +180,75 @@ def dc_chain_reference(p: Open, step_oracle, a0: int, steps: int):
         chain.append(p)
         witnesses.append(decided if decided is not None else guarded)
     return chain, witnesses
+
+
+# --- escape schedules, staged with two paths per stage ---------------------
+
+def _nonstar_reference(oracle, n: int, depth: int, walk: BasicOpen, cap: int | None):
+    if depth < walk.stem:
+        raise ValueError("depth must reach the ambient stem")
+    if oracle.default_star:
+        return (node for node in oracle.nonstar_listed(n) if len(node) == depth)
+    return (node for node in compatible_nodes(walk, depth, cap) if not oracle.is_star(n, node))
+
+
+def escape_trace_reference(q: BasicOpen, oracle, I: int, horizon: int) -> dict:
+    """`antispecker.escape_trace` as the stage loop once stood: an empty
+    stage and a writing stage each append their own frame and advance the
+    stage by hand, and M's cut is the first stage's frontier, kept aside."""
+    if I < q.max_prefix():
+        raise BadCandidate(f"target value {I} is below the pinned prefix maximum {q.max_prefix()}")
+    levels = {n: oracle.level_of(n) for n in range(horizon + 1)}
+    for n, depth in levels.items():
+        if depth < q.stem:
+            raise ValueError(f"deciding depth {depth} for index {n} is below the stem")
+    top = max(levels.values())
+    vis_cap = max((q.g(k) for k in range(q.stem, top + 1)), default=0)
+
+    r = q
+    frontier = q.stem - 1
+    j_first: int | None = None
+    frames: list[dict] = []
+    stage = 0
+    while True:
+        cap = I + stage + 1
+        lengths = [
+            depth
+            for n, depth in levels.items()
+            if depth > frontier
+            and any(compatible(r, node, cap) for node in _nonstar_reference(oracle, n, depth, q, cap))
+        ]
+        if not lengths:
+            frames.append({"stage": stage, "cap": cap, "nonstar_max": None, "wrote": None, "values": []})
+            if stage == 0 and j_first is None:
+                j_first = q.stem - 1
+            if cap >= vis_cap:
+                break
+            stage += 1
+            continue
+        j_new = max(lengths)
+        if j_new >= top:
+            raise ScheduleUnsound(
+                f"non-star nodes reach the top visible level {top}; escape not certifiable"
+            )
+        written = [min(q.g(k), I + stage) for k in range(frontier + 1, j_new + 1)]
+        r = BasicOpen(q.stem, r.schedule.overwrite(frontier + 1, written))
+        wrote = [frontier + 1, j_new]
+        frames.append({"stage": stage, "cap": cap, "nonstar_max": j_new, "wrote": wrote, "values": written})
+        if j_first is None:
+            j_first = j_new
+        frontier = j_new
+        stage += 1
+
+    cut = j_first if j_first is not None else q.stem - 1
+    M = max([n for n, depth in levels.items() if depth <= cut], default=0)
+
+    for m in range(M + 1, horizon + 1):
+        if any(compatible(r, node) for node in _nonstar_reference(oracle, m, levels[m], r, None)):
+            raise ScheduleUnsound(
+                f"index {m} past the frontier M={M} still has a compatible non-star node"
+            )
+    return {"result": r, "M": M, "frames": frames}
 
 
 # --- the machine's evaluator, one frame for the depth and one per node ----

@@ -84,6 +84,7 @@ def test_range_term_and_oracle_round_trips():
         (open_from_json, None),
         (open_from_json, {"stem": -1, "base": 2}),
         (open_from_json, {"stem": 0, "base": 2, "slope": 0}),
+        (open_from_json, {"stem": 0, "base": 2, "slope": True}),
         (open_from_json, {"base": 2}),
         (point_from_json, {"prefix": [1]}),
         (pset_from_json, {"prefix_bits": "01"}),
@@ -231,3 +232,31 @@ def test_verify_rejects_wrappers_with_ill_typed_parts():
     for key, value in (("operation", []), ("inputs", None), ("inputs", [1]), ("trace", 5)):
         with pytest.raises(BadCertificate):
             verify(dict(cert, **{key: value}))
+
+
+def test_verify_compares_canonical_text_not_python_equality():
+    cert = _bound_cert()
+    for path, value in ((("outputs", "result", "base"), 3.0), (("trace", "decisions", 1, "value"), True)):
+        tampered = copy.deepcopy(cert)
+        parent = tampered
+        for key in path[:-1]:
+            parent = parent[key]
+        assert parent[path[-1]] == value
+        parent[path[-1]] = value
+        with pytest.raises(BadCertificate, match="did not reproduce"):
+            verify(tampered)
+
+
+def test_verify_rejects_a_certificate_that_is_not_json():
+    cert = _bound_cert()
+    for extra in ({1, 2}, object()):
+        with pytest.raises(BadCertificate):
+            verify(dict(cert, outputs=dict(cert["outputs"], extra=extra)))
+
+
+def test_a_boolean_split_depth_is_malformed():
+    p = make_open(0, [], 2, 1)
+    inputs = {"p": open_to_json(p), "term": _identity1_json(p), "level": 1}
+    for at in (True, False):
+        with pytest.raises(FormatError, match="'at' must be a natural"):
+            build("fuse.bound", dict(inputs, at=at))

@@ -53,6 +53,18 @@ ORACLE_TOTAL = {
     ],
     "default_star": False,
 }
+# Three non-star nodes that come into view at stages 0, 1 and 2: stage 0
+# writes [1, 2], which puts index 1's node outside the open, so stage 1
+# is empty; stage 2 writes [3, 5], and M = 0 is read off stage 0's frontier.
+OPEN_STAGES = {"stem": 1, "explicit": [1], "base": 3, "slope": 1}
+ORACLE_STAGES = {
+    "levels": [[n, n + 2] for n in range(6)],
+    "labels": [
+        {"n": n, "node": node, "star": False}
+        for n, node in [(0, [1, 2]), (1, [1, 0, 3]), (3, [1, 1, 1, 4, 0])]
+    ],
+    "default_star": True,
+}
 # perfbench's fuse.dc ladder open; four steps cover it at depths 3 to 6
 # (3,024 nodes at the last stage).
 LADDER = {"stem": 2, "explicit": [3, 2], "base": 5}
@@ -72,6 +84,8 @@ FILES = {
     "total.json": ORACLE_TOTAL,
     "seqjob.json": SEQ_JOB,
     "ladder.json": LADDER,
+    "q_stages.json": OPEN_STAGES,
+    "stages.json": ORACLE_STAGES,
 }
 
 # name -> argv; "@f" stands for the input file f, "^name" for the stdout of
@@ -100,6 +114,8 @@ COMMANDS = [
     ("verify_as_schedule_total", ["verify", "^as_schedule_total"]),
     ("fuse_dc_ladder", ["fuse", "dc", "@ladder.json", "--start", "3", "--steps", "4"]),
     ("verify_fuse_dc_ladder", ["verify", "^fuse_dc_ladder"]),
+    ("as_schedule_stages", ["as", "schedule", "@q_stages.json", "@stages.json", "--level", "1", "--horizon", "5"]),
+    ("verify_as_schedule_stages", ["verify", "^as_schedule_stages"]),
 ]
 
 # name -> (exit code, sha256 of stdout)
@@ -129,6 +145,9 @@ EXPECTED = {
     # about 55 s for the pair).
     "fuse_dc_ladder": (0, "bd8f5848aa3b0ea72f37c26539a85b8b2365e3318948ea646012fb2f36966713"),
     "verify_fuse_dc_ladder": (0, "68f840e7b0750300bed3cb66da956f941472b164001a6a1d2bd90b7d241c8478"),
+    # Taken while the stage loop kept an empty and a writing path per stage.
+    "as_schedule_stages": (0, "77d1a008b649b994211c19184deb886cb830fa96395cf14f5e0772a7c810968b"),
+    "verify_as_schedule_stages": (0, "d53a2d616b166ff00c632723bc4b634acbb65972ededc3dba4d054d1a32520f8"),
 }
 
 

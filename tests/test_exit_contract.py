@@ -12,12 +12,14 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boundlab import cli
 from boundlab.certificates import build
 from boundlab.realizability import unbounded_witness, v
+from boundlab.serialize import dumps
 
 from oracles import cold_fp_lab
 
@@ -144,13 +146,21 @@ def test_mutated_seqbound_jobs_keep_the_contract(data):
     run_on_file(["set", "seqbound"], mutate(SEQBOUND_JOB, data))
 
 
+def verify_on_file(cert):
+    """Run `verify` on cert; a certificate it accepts must have the canonical
+    text of its own rebuild, whatever the equality of its values says."""
+    if run_on_file(["verify"], cert)[0] == 0:
+        cert = json.loads(json.dumps(cert))  # as the CLI reads it
+        assert dumps(build(cert["operation"], cert["inputs"])) == dumps(cert), cert
+
+
 SCENARIO_CERT = build("fp.scenario", {"seed": 1, "count": 1, "window": 3})
 
 
 @SETTINGS
 @given(st.data())
 def test_mutated_scenario_certificates_keep_the_contract(data):
-    run_on_file(["verify"], mutate(SCENARIO_CERT, data))
+    verify_on_file(mutate(SCENARIO_CERT, data))
 
 
 # --- mutated fusion and escape inputs ------------------------------------
@@ -235,8 +245,47 @@ def test_mutated_fusion_inputs_keep_the_contract(data):
 @given(st.data())
 def test_mutated_fusion_certificates_keep_the_contract(data):
     cert = data.draw(st.sampled_from(FUSION_CERTS))
-    run_on_file(["verify"], mutate(cert, data, small_values, SMALL_FIELDS))
+    verify_on_file(mutate(cert, data, small_values, SMALL_FIELDS))
 
+
+# --- mutated seq and set inputs -----------------------------------------
+
+# The same small edits as above, on the open, point, periodic-set and
+# set-open files of the seq and set commands; the seeds keep every entry,
+# stem, slope and split index at most 2, so splits and intersections stay
+# a few pieces wide.
+SET_FIELDS = SMALL_FIELDS + ["P", "N", "prefix_bits", "period_bits"]
+POINT = {"prefix": [1, 1], "tail_value": 2}
+PSET = {"prefix_bits": "01", "period_bits": "01"}
+SET_A = {"P": [1], "N": EVENS}
+SET_B = {"P": [2], "N": {"prefix_bits": "1", "period_bits": "0"}}
+
+SEQ_SET_JOBS = [
+    (["seq", "intersect"], [OPEN, OPEN_AT]),
+    (["seq", "split"], [OPEN_AT]),
+    (["seq", "split", "--at", "1"], [OPEN_AT]),
+    (["seq", "member"], [OPEN_AT, POINT]),
+    (["seq", "force-range", "--value", "2"], [OPEN]),
+    (["set", "intersect"], [SET_A, SET_B]),
+    (["set", "member"], [PSET, SET_A]),
+]
+
+
+def test_the_seq_and_set_seeds_succeed():
+    for argv, docs in SEQ_SET_JOBS:
+        assert run_on_file(argv, *docs)[0] == 0, argv
+
+
+@settings(SETTINGS, max_examples=150)
+@given(st.data())
+def test_mutated_seq_and_set_inputs_keep_the_contract(data):
+    argv, docs = data.draw(st.sampled_from(SEQ_SET_JOBS))
+    which = data.draw(st.integers(0, len(docs) - 1))
+    docs = [mutate(doc, data, small_values, SET_FIELDS) if i == which else doc for i, doc in enumerate(docs)]
+    run_on_file(argv, *docs)
+
+
+# --- pinned holes ---------------------------------------------------------
 
 def test_a_star_oracle_whose_labels_are_not_a_list_is_malformed_input():
     oracle = dict(ESCAPE_ORACLE, labels=5)
@@ -258,3 +307,35 @@ def test_an_input_nested_past_the_json_readers_depth_is_malformed_input():
             fh.write("[" * 100_000 + "]" * 100_000)
         code, out = run(["verify", path])
     assert code == 65 and "nests deeper" in out
+
+
+def test_a_boolean_slope_is_malformed_input():
+    code, out = run_on_file(["seq", "intersect"], OPEN, dict(OPEN, slope=True))
+    assert code == 65 and "slope" in out
+
+
+@pytest.mark.parametrize("at", [True, False])
+def test_a_boolean_split_depth_in_a_certificate_is_rejected(at):
+    cert = copy.deepcopy(FUSION_CERTS[1])
+    cert["inputs"]["at"] = at
+    code, out = run_on_file(["verify"], cert)
+    assert code == 2 and "'at' must be a natural" in out
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("outputs", "result", "base"), 3.0),
+        (("trace", "decisions", 1, "value"), True),
+        (("trace", "decisions", 0, "value"), False),
+    ],
+)
+def test_a_certificate_equal_only_as_python_values_is_rejected(path, value):
+    cert = copy.deepcopy(FUSION_CERTS[0])
+    parent = cert
+    for key in path[:-1]:
+        parent = parent[key]
+    assert parent[path[-1]] == value  # the edit changes the text, not the value
+    parent[path[-1]] = value
+    code, out = run_on_file(["verify"], cert)
+    assert code == 2 and "did not reproduce" in out
