@@ -34,9 +34,14 @@ class StarOracle:
 
     def __post_init__(self):
         object.__setattr__(self, "levels", dict(self.levels))
-        object.__setattr__(
-            self, "labels", {(n, tuple(node)): bool(s) for (n, node), s in self.labels.items()}
-        )
+        labels = {(n, tuple(node)): bool(s) for (n, node), s in self.labels.items()}
+        object.__setattr__(self, "labels", labels)
+        # The non-star nodes of each index, sorted once; not a field.
+        nonstar: dict[int, list[Node]] = {}
+        for (n, node), s in labels.items():
+            if not s:
+                nonstar.setdefault(n, []).append(node)
+        object.__setattr__(self, "_nonstar", {n: tuple(sorted(nodes)) for n, nodes in nonstar.items()})
 
     def level_of(self, n: int) -> int:
         if n not in self.levels:
@@ -51,8 +56,8 @@ class StarOracle:
             return True
         raise OracleNotTotal(f"no label for index {n} at node {tuple(node)}")
 
-    def nonstar_listed(self, n: int) -> list[Node]:
-        return sorted(node for (m, node), s in self.labels.items() if m == n and not s)
+    def nonstar_listed(self, n: int) -> tuple[Node, ...]:
+        return self._nonstar.get(n, ())
 
 
 def all_star_oracle(levels: Mapping[int, int]) -> StarOracle:

@@ -32,6 +32,20 @@ def pair(a: int, b: int) -> int:
     return (s * s + s >> 1) + b  # s * s takes CPython's faster squaring
 
 
+def _repair(p: int, a: int, b: int, a2: int, b2: int) -> int:
+    """pair(a2, b2), given p = pair(a, b).  With s = a + b and s2 = a2 + b2,
+    pair(a2, b2) - p = (s2 - s)(s2 + s + 1)/2 + (b2 - b), and the product
+    is even; a short s2 - s so costs one short product, not a squaring.  A
+    difference with more than half the bits of s is paired afresh."""
+    if a2 == a and b2 == b:
+        return p
+    s, s2 = a + b, a2 + b2
+    d = s2 - s
+    if 2 * abs(d).bit_length() > s.bit_length():
+        return pair(a2, b2)
+    return p + (d * (s2 + s + 1) >> 1) + b2 - b
+
+
 # Below this many bits _sqrtrem is isqrt and one squaring, and _div2n1n is
 # divmod; above it, the recursions beat isqrt's and divmod's schoolbook
 # division, whose cost in CPython 3.11 grows quadratically with the size.
@@ -506,11 +520,66 @@ def check_proof(j: int, w: int) -> bool:
     build of the program; it is valid for w exactly when that build's
     canonical index is w.  Application-free programs always terminate, so
     accepted certificates only ever certify genuinely total programs.
+
+    j is walked top down as decode walks it, table hits included, but no
+    program is built: the canonical codes are then made bottom up, each
+    payload moved from j's own by its children's change (_repair).  The
+    numbering fails to be injective only at the argument, whose every
+    payload means the same node, so this is encode(decode(j)) == w.  The
+    table is read, never written.
     """
     if j < 0 or w < 0:
         return False
-    p = decode(j)
-    return apply_free(p) and encode(p) == w
+    table = _CODES.entries
+    # Canonical codes of finished leaves and table hits, or an inner node's
+    # tag, then its payload and the child codes it holds, as decode splits it.
+    order: list[int | tuple[int, ...]] = []
+    todo = [j]
+    while todo:
+        c = todo.pop()
+        if c >= _TABLE_MIN_CODE:
+            hit = table.get(c)
+            if hit is not None:
+                if not apply_free(hit):
+                    return False
+                order.append(c)
+                continue
+        payload, tag = divmod(c, 12)
+        op = OPS[tag]
+        if tag < 2:
+            order.append(c if tag else 0)  # every argument payload means ARG
+        elif op == "apply":
+            return False
+        elif op == "if0":
+            cond, rest = unpair(payload)
+            kids = unpair(rest)
+            order.append((tag, payload, cond, rest, *kids))
+            todo.append(cond)
+            todo.extend(kids)
+        elif ARITY[op] == 1:
+            order.append((tag,))
+            todo.append(payload)
+        else:
+            kids = unpair(payload)
+            order.append((tag, payload, *kids))
+            todo.extend(kids)
+    codes: list[int] = []  # canonical codes of finished subtrees, leftmost deepest
+    for item in reversed(order):
+        if type(item) is int:
+            codes.append(item)
+            continue
+        if len(item) == 1:
+            payload = codes.pop()
+        elif len(item) == 4:
+            _, p, a, b = item
+            b2 = codes.pop()
+            payload = _repair(p, a, b, codes.pop(), b2)
+        else:
+            _, p, cond, rest, a, b = item
+            b2, a2, cond2 = codes.pop(), codes.pop(), codes.pop()
+            payload = _repair(p, cond, rest, cond2, _repair(rest, a, b, a2, b2))
+        codes.append(payload * 12 + item[0])
+    return codes[0] == w
 
 
 @record
@@ -537,8 +606,10 @@ def alias_certificate(e: Expr) -> TotalityCertificate | None:
     Re-encodes the build with the first argument node (in preorder) carried
     by payload 1 instead of 0; monotonicity of the pairing pushes every
     enclosing code up, so the alias always exceeds the canonical index.
-    Only the nodes on the path down to that node are paired anew, bottom
-    up; their other children keep their canonical codes from encode,
+    Only the nodes on the path down to that node change, bottom up: each
+    moves its canonical payload, read off its stored code when it has one,
+    by its child's change (_repair), and an if0's inner pair is paired
+    once.  Their other children keep their canonical codes from encode,
     stored ones included, and the codes on the path are never stored or
     recorded.  None if the program has no argument node (or is not
     certifiable).
@@ -551,11 +622,23 @@ def alias_certificate(e: Expr) -> TotalityCertificate | None:
     while todo:
         n, up = todo.pop()
         if n.op == "arg":
-            code = 12
+            old, new = 0, 12  # the canonical and the alias code of the path's node
             while up is not None:
                 parent, i, up = up
-                kids = [code if j == i else encode(a) for j, a in enumerate(parent.args)]
-                code = _payload(kids) * 12 + TAG[parent.op]
-            return TotalityCertificate(code, index)
+                kids = [old if j == i else encode(a) for j, a in enumerate(parent.args)]
+                moved = kids.copy()
+                moved[i] = new
+                if len(kids) == 1:
+                    p, p2 = old, new
+                else:
+                    if len(kids) == 3:  # an if0's inner pair moves like a child
+                        inner = pair(kids[1], kids[2])
+                        kids, moved = [kids[0], inner], [moved[0], _repair(inner, *kids[1:], *moved[1:])]
+                    code = parent._code
+                    p = pair(*kids) if code is None else code // 12
+                    p2 = _repair(p, *kids, *moved)
+                tag = TAG[parent.op]
+                old, new = p * 12 + tag, p2 * 12 + tag
+            return TotalityCertificate(new, index)
         todo.extend((n.args[i], (n, i, up)) for i in reversed(range(len(n.args))))
     return None

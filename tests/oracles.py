@@ -453,18 +453,16 @@ def cantor_pair(a: int, b: int) -> int:
     return (a + b) * (a + b + 1) // 2 + b
 
 
-def encode_reference(e: Expr, alias: list[bool] | None = None) -> int:
+def encode_reference(e: Expr, args: list[int] | None = None) -> int:
     """The numbering by plain recursion and the textbook pairing, with no
-    table and no stored codes.  With alias=[False], the first argument node
-    in preorder is coded 12 instead of 0 and alias[0] turns True."""
+    table and no stored codes.  With args, the argument nodes in preorder
+    take the payloads args[0], args[1], ... (0 once the list is used up),
+    and each payload used is taken off the list."""
     if e.op == "arg":
-        if alias is not None and not alias[0]:
-            alias[0] = True
-            return 12
-        return 0
+        return args.pop(0) * 12 if args else 0
     if e.op == "const":
         return e.value * 12 + 1
-    kids = [encode_reference(a, alias) for a in e.args]
+    kids = [encode_reference(a, args) for a in e.args]
     if len(kids) == 1:
         payload = kids[0]
     elif len(kids) == 2:
@@ -476,9 +474,9 @@ def encode_reference(e: Expr, alias: list[bool] | None = None) -> int:
 
 def alias_reference(e: Expr) -> int | None:
     """alias_certificate's derivation code, or None when e has no argument node."""
-    found = [False]
-    code = encode_reference(e, found)
-    return code if found[0] else None
+    left = [1]
+    code = encode_reference(e, left)
+    return None if left else code
 
 
 def enumerate_Az_bottom_up(z: Expr, support_bound: int, value_bound: int, budget: int) -> set[int]:

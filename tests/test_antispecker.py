@@ -204,3 +204,50 @@ def test_escape_random_sound_oracles():
             for node in nodes_brute(r, levels[m]):
                 assert oracle.is_star(m, node)
         done += 1
+
+
+def test_nonstar_listed_is_the_sorted_scan_of_each_index():
+    rng = random.Random(503)
+    for _ in range(60):
+        labels = {
+            (rng.randrange(4), tuple(rng.randrange(3) for _ in range(rng.randrange(0, 4)))): rng.random() < 0.3
+            for _ in range(rng.randrange(0, 30))
+        }
+        oracle = StarOracle({n: 2 for n in range(4)}, labels, default_star=rng.random() < 0.5)
+        for n in range(-1, 5):
+            want = sorted(node for (m, node), s in labels.items() if m == n and not s)
+            assert list(oracle.nonstar_listed(n)) == want
+
+
+class _CountedLabels(dict):
+    """A label table that counts the labels its scans visit."""
+
+    visits = 0
+
+    def items(self):
+        for item in super().items():
+            self.visits += 1
+            yield item
+
+    def __iter__(self):
+        for key in super().__iter__():
+            self.visits += 1
+            yield key
+
+
+def test_sparse_escape_scans_the_labels_at_most_once():
+    """25 indices at depths n + 1 over the stem-0, base-2 open, 201 listed
+    non-star labels each: the escape asks nonstar_listed 674 times, which
+    once meant a scan of all 5,025 labels per call."""
+    q = make_open(0, [], 2, 1)
+    labels = {(n, (3 + k,) + (0,) * n): False for n in range(25) for k in range(201)}
+    oracle = StarOracle({n: n + 1 for n in range(25)}, labels, default_star=True)
+    counted = _CountedLabels(oracle.labels)
+    object.__setattr__(oracle, "labels", counted)
+    asked = []
+    listed = oracle.nonstar_listed
+    object.__setattr__(oracle, "nonstar_listed", lambda n: asked.append(n) or listed(n))
+    trace = escape_trace(q, oracle, 1, 24)
+    assert len(labels) == 5025 and len(asked) == 674
+    assert counted.visits <= len(labels)
+    assert trace["M"] == 0 and len(trace["frames"]) == 26

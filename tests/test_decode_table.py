@@ -165,7 +165,8 @@ def test_deep_programs_round_trip_without_the_host_stack():
 
 def test_non_canonical_big_codes_are_split_honestly(fresh_table, monkeypatch):
     """Codes of at least _TABLE_MIN_CODE that miss the table are split by
-    unpair, an if0 payload twice; nothing non-canonical is ever recorded."""
+    unpair, an if0 payload twice; nothing non-canonical is ever recorded,
+    and check_proof leaves the table exactly as it found it, cold or warm."""
     body = FiniteSupportFn((0, 0, 0, 0, 0, 0, 1)).program()
     other = FiniteSupportFn((0, 0, 0, 0, 0, 2)).program()
     split = []
@@ -190,6 +191,11 @@ def test_non_canonical_big_codes_are_split_honestly(fresh_table, monkeypatch):
         fresh_table.entries.clear()
         fresh_table.bits = 0
         assert check_proof(cert.derivation, cert.index)
-        assert fresh_table.entries and cert.derivation not in fresh_table.entries
+        assert not fresh_table.entries and fresh_table.bits == 0
+        encode(program)
+        before = [(code, id(e)) for code, e in fresh_table.entries.items()], fresh_table.bits
+        assert before[0] and cert.derivation not in fresh_table.entries
+        assert check_proof(cert.derivation, cert.index)
+        assert ([(code, id(e)) for code, e in fresh_table.entries.items()], fresh_table.bits) == before
         for code, e in fresh_table.entries.items():
             assert e._code == code == encode_reference(e)
