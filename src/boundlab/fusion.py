@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import reduce
 from typing import Callable, Mapping
 
-from .errors import BadCandidate, EmptyOpenError, OracleNotTotal, PointNotInOpen
+from .errors import BadCandidate, EmptyOpenError, OracleNotTotal, PointNotInOpen, TermNotTotal
 from .seq_opens import (
     BasicOpen,
     Open,
@@ -151,20 +151,29 @@ StepOracle = Callable[[int | GuardedTerm, BasicOpen], tuple[Term, int]]
 
 
 def dc_chain(p: Open, step_oracle: StepOracle, a0: int, steps: int) -> tuple[list[BasicOpen], list[int | GuardedTerm]]:
-    """Iterate witness extraction: each stage decides the step term once per
-    node of p's depth cover, at least as deep as the first position where g
-    reaches I + stage.  Those pieces pin distinct prefixes, so they are
-    disjoint: the witness is their common value, else their guarded term.
-    Total step terms need no shrinking, so every chain entry is p itself."""
+    """Iterate witness extraction: each stage first decides the step term on
+    p, and a decided value is the witness, since every piece of p decides
+    it too.  Otherwise it decides the term once per node of p's depth
+    cover, at least as deep as the first position where g reaches
+    I + stage.  Those pieces pin distinct prefixes, so they are disjoint:
+    the witness is their common value, else their guarded term.  Total step
+    terms need no shrinking, so every chain entry is p itself."""
     if is_empty(p):
         raise EmptyOpenError("cannot build a chain below the empty open")
     I = p.g(p.stem)
+    M = p.stem  # the cut only moves out as the stages climb
     witnesses: list[int | GuardedTerm] = [a0]
     for stage in range(1, steps + 1):
         term, depth = step_oracle(witnesses[-1], p)
-        M = p.stem
         while p.g(M) < I + stage:
             M += 1
+        try:
+            decided = decide_term(p, term)
+        except TermNotTotal:
+            decided = None  # the cover walk names the node the table misses
+        if decided is not None:
+            witnesses.append(decided)
+            continue
         parts: list[GuardedPart] = []
         values: set[int | None] = set()
         for node in compatible_nodes(p, max(depth, M)):

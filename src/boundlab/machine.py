@@ -121,6 +121,32 @@ def unpair(c: int) -> tuple[int, int]:
     return s - b, b
 
 
+def _unpair_near(P: int, p: int, a: int, b: int) -> tuple[int, int]:
+    """unpair(P), given p = pair(a, b): the inverse of _repair.  Let
+    s = a + b and T(s) = p - b.  unpair finds the s2 with
+    T(s2) <= P < T(s2 + 1), and T(s + d) - T(s) = d(s + 1) + d(d - 1)/2
+    with d(d - 1) >= 0, so d = (P - T(s)) // (s + 1) never falls short of
+    s2 - s: stepping down from T(s + d) = T(s) + d(2s + d + 1)/2 to the
+    first T(s2) <= P is exact whatever the hint.  A d with more than half
+    the bits of s is unpaired afresh; within that, a few steps suffice."""
+    s = a + b
+    t = p - b
+    r, n = P - t, s.bit_length()
+    # d has at least |r|'s bits less s + 1's: a far P pays no division
+    if 2 * (abs(r).bit_length() - (s + 1).bit_length()) > n:
+        return unpair(P)
+    d = r // (s + 1)
+    if 2 * abs(d).bit_length() > n:
+        return unpair(P)
+    s += d
+    t += d * (2 * s - d + 1) >> 1
+    while t > P:
+        s -= 1
+        t -= s + 1
+    b = P - t
+    return s - b, b
+
+
 OPS = (
     "arg", "const", "succ", "pred", "pair", "fst", "snd",
     "comp", "if0", "primrec", "bmin", "apply",
@@ -525,8 +551,14 @@ def check_proof(j: int, w: int) -> bool:
     program is built: the canonical codes are then made bottom up, each
     payload moved from j's own by its children's change (_repair).  The
     numbering fails to be injective only at the argument, whose every
-    payload means the same node, so this is encode(decode(j)) == w.  The
-    table is read, never written.
+    payload means the same node, so this is encode(decode(j)) == w.
+
+    w's recorded program, if the table holds it, is walked alongside as a
+    hint: a node of j with its hint's tag is split by _unpair_near from the
+    hint's stored code, which is exact however far j has moved from it.
+    Under a stored code every big node stores its own, so a hint child
+    without one is small, and its encode records nothing.  The table is
+    read, never written.
     """
     if j < 0 or w < 0:
         return False
@@ -534,9 +566,13 @@ def check_proof(j: int, w: int) -> bool:
     # Canonical codes of finished leaves and table hits, or an inner node's
     # tag, then its payload and the child codes it holds, as decode splits it.
     order: list[int | tuple[int, ...]] = []
-    todo = [j]
+    # Codes still to split, each with its hint, the node of w's program at
+    # the same place, or None; a hint counts only with the code's tag and a
+    # stored code of its own.
+    todo: list[tuple[int, Expr | None]] = [(j, table.get(w) if w >= _TABLE_MIN_CODE else None)]
+    unhinted = (None, None, None)
     while todo:
-        c = todo.pop()
+        c, hint = todo.pop()
         if c >= _TABLE_MIN_CODE:
             hit = table.get(c)
             if hit is not None:
@@ -548,21 +584,33 @@ def check_proof(j: int, w: int) -> bool:
         op = OPS[tag]
         if tag < 2:
             order.append(c if tag else 0)  # every argument payload means ARG
-        elif op == "apply":
+            continue
+        if op == "apply":
             return False
-        elif op == "if0":
-            cond, rest = unpair(payload)
-            kids = unpair(rest)
-            order.append((tag, payload, cond, rest, *kids))
-            todo.append(cond)
-            todo.extend(kids)
-        elif ARITY[op] == 1:
+        if hint is not None and (hint.op != op or hint._code is None):
+            hint = None
+        hints = unhinted if hint is None else hint.args
+        if ARITY[op] == 1:
             order.append((tag,))
-            todo.append(payload)
+            todo.append((payload, hints[0]))
+            continue
+        if hint is not None:
+            p = hint._code // 12
+            near = [encode(h) if h._code is None else h._code for h in hints]
+        if op == "if0":
+            if hint is None:
+                cond, rest = unpair(payload)
+                kids = unpair(rest)
+            else:
+                inner = pair(near[1], near[2])
+                cond, rest = _unpair_near(payload, p, near[0], inner)
+                kids = _unpair_near(rest, inner, near[1], near[2])
+            order.append((tag, payload, cond, rest, *kids))
+            todo.extend(zip((cond, *kids), hints))
         else:
-            kids = unpair(payload)
+            kids = unpair(payload) if hint is None else _unpair_near(payload, p, *near)
             order.append((tag, payload, *kids))
-            todo.extend(kids)
+            todo.extend(zip(kids, hints))
     codes: list[int] = []  # canonical codes of finished subtrees, leftmost deepest
     for item in reversed(order):
         if type(item) is int:

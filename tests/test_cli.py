@@ -1,6 +1,7 @@
 """End-to-end CLI runs: exit codes, JSON output, determinism."""
 
 import json
+import signal
 import subprocess
 import sys
 
@@ -26,6 +27,26 @@ def write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(dumps(payload) if not isinstance(payload, str) else payload)
     return str(path)
+
+
+def test_a_long_dc_chain_builds_and_verifies_in_seconds(tmp_path, capsys):
+    """The successor step term is decided on the open itself, so no stage
+    walks a cover: 10,000 stages build and replay in well under a second."""
+    def expire(signum, frame):
+        # pytest.fail is no Exception, so the CLI's error handling cannot catch it
+        pytest.fail("fuse dc --steps 10000 did not build and verify within 5 s", pytrace=False)
+
+    p = write(tmp_path, "p.json", {"stem": 0, "explicit": [], "base": 2, "slope": 1})
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        assert cli.main(["fuse", "dc", p, "--start", "0", "--steps", "10000"]) == 0
+        cert = write(tmp_path, "cert.json", capsys.readouterr().out)
+        assert cli.main(["verify", cert]) == 0
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert json.loads(capsys.readouterr().out) == {"ok": True, "operation": "fuse.dc"}
 
 
 OPEN_A = {"stem": 1, "explicit": [2], "base": 3, "slope": 1}

@@ -10,6 +10,7 @@ import copy
 import io
 import json
 import os
+import signal
 import tempfile
 
 import pytest
@@ -25,11 +26,24 @@ from oracles import cold_fp_lab
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 
+# Every generated call finishes within this many seconds of wall clock.
+CALL_SECONDS = 10
+
 
 def run(argv):
+    def expire(signum, frame):
+        # pytest.fail is no Exception, so the CLI's error handling cannot catch it
+        pytest.fail(f"{argv} ran past {CALL_SECONDS} s", pytrace=False)
+
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, CALL_SECONDS)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
     assert code in (0, 2, 64, 65), (argv, code)
     text = err.getvalue() if code == 64 else out.getvalue()
     assert text.endswith("\n") and text.count("\n") == 1, (argv, text)

@@ -1,11 +1,14 @@
-"""Re-pairing by difference.
+"""Re-pairing and unpairing by difference.
 
 `_repair` moves a Cantor code by its finite difference instead of pairing
 again; `check_proof` and `alias_certificate` build their codes with it.
-Each is held against the plain computation it replaces: `_repair` against
-`pair`, `check_proof` against decoding and re-encoding by the references,
-`alias_certificate` against `alias_reference`, on codes on both sides of
-the decode table's floor and with the table cold and warm.
+`_unpair_near` splits a code by stepping from a known pair instead of
+taking a square root; `check_proof` splits with it from the codes its
+claim's recorded program stores.  Each is held against the plain
+computation it replaces: `_repair` against `pair`, `_unpair_near` against
+`unpair`, `check_proof` against decoding and re-encoding by the
+references, `alias_certificate` against `alias_reference`, on codes on
+both sides of the decode table's floor and with the table cold and warm.
 """
 
 import pytest
@@ -18,6 +21,7 @@ from boundlab.machine import (
     Expr,
     TotalityCertificate,
     _repair,
+    _unpair_near,
     alias_certificate,
     apply_free,
     check_proof,
@@ -27,7 +31,7 @@ from boundlab.machine import (
 )
 from boundlab.realizability import FiniteSupportFn
 
-from oracles import alias_reference, cantor_pair, decode_reference, encode_reference
+from oracles import alias_reference, cantor_pair, decode_reference, encode_reference, unpair_reference
 
 SETTINGS = settings(max_examples=150, deadline=None, database=None, derandomize=True)
 
@@ -77,6 +81,54 @@ def test_repair_pairs_afresh_only_past_half_the_bits(monkeypatch):
     assert paired == [(a - 2**2000, b), (0, 0)]
     assert _repair(0, 0, 0, 0, 5) == cantor_pair(0, 5)  # s = 0 has no bits to spare
     assert _repair(cantor_pair(9, 0), 9, 0, 0, 9) == cantor_pair(0, 9)  # only b moves
+
+
+# --- _unpair_near against unpair -------------------------------------------
+
+@SETTINGS
+@given(st.integers(4, 8000), st.data())
+def test_unpair_near_is_unpair(bits, data):
+    """A hint whose sum has 4 to 8,000 bits, and a code moved from it by
+    up to twice that many bits, up or down."""
+    s = data.draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+    b = data.draw(st.integers(0, s))
+    p = cantor_pair(s - b, b)
+    reach = data.draw(st.integers(0, 2 * bits + 2))
+    P = max(p + data.draw(st.integers(-(2**reach), 2**reach)), 0)
+    assert _unpair_near(P, p, s - b, b) == unpair_reference(P)
+
+
+def test_unpair_near_steps_only_within_half_the_bits(monkeypatch):
+    fresh = []
+    monkeypatch.setattr(machine, "unpair", lambda c: fresh.append(c) or unpair_reference(c))
+    a, b = 2**4000 + 7, 3**1000
+    p = cantor_pair(a, b)
+    assert (a + b).bit_length() == 4001
+    near = [
+        p,  # d = 0
+        p + 5,  # d = 0, another b on the same diagonal
+        cantor_pair(a + 12, b - 12),  # the sum stays
+        cantor_pair(a - 12, b),  # negative d
+        cantor_pair(a - 1, b) - 1,  # the last code two diagonals down
+        cantor_pair(a + 1, b + 1) - 1,  # the last code of the next diagonal
+        cantor_pair(a + b + 1, 0),  # the first code of the next diagonal
+        cantor_pair(a + b - 7, 0),
+        cantor_pair(a + 2**1999, b),  # 2,000 bits: half
+        cantor_pair(a - 2**1999, b + 5),
+    ]
+    for P in near:
+        assert _unpair_near(P, p, a, b) == unpair_reference(P)
+    assert not fresh
+    far = [cantor_pair(a + 2**2000, b), cantor_pair(a - 2**2000, b), 0]  # 2,001 bits
+    for P in far:
+        assert _unpair_near(P, p, a, b) == unpair_reference(P)
+    assert fresh == far
+    # s <= 1 has no bits to spare: only codes on the hint's own diagonal step
+    for a, b in ((0, 0), (1, 0), (0, 1)):
+        fresh.clear()
+        for P in range(12):
+            assert _unpair_near(P, cantor_pair(a, b), a, b) == unpair_reference(P)
+        assert len(fresh) == 12 - (a + b + 1)
 
 
 # --- check_proof against decode-and-encode ---------------------------------
@@ -157,6 +209,148 @@ def test_check_proof_reads_non_canonical_arguments_at_every_depth(fresh_table):
                 assert not check_proof(j, w + 12) and not check_proof(j, w - 1)
                 assert not check_proof(j, j)
         assert snapshot(fresh_table) == before
+
+
+# --- check_proof with its claim's recorded program as a hint --------------
+
+def moved_code(e, at, move, tag=None):
+    """encode_reference(e), with the payload q of e's node number `at` in
+    preorder replaced by move(q) and its tag by `tag`, if given; the nodes
+    above it are paired afresh."""
+    todo = [at]
+
+    def walk(n):
+        here = todo[0] == 0
+        todo[0] -= 1
+        kids = [walk(a) for a in n.args]
+        if not kids:
+            code = encode_reference(n)
+        else:
+            payload = kids[0] if len(kids) == 1 else cantor_pair(kids[0], cantor_pair(*kids[1:]) if kids[2:] else kids[1])
+            code = payload * 12 + machine.TAG[n.op]
+        if here:
+            code = move(code // 12) * 12 + (code % 12 if tag is None else tag)
+        return code
+
+    return walk(e)
+
+
+def preorder(e):
+    todo, out = [e], []
+    while todo:
+        n = todo.pop()
+        out.append(n)
+        todo.extend(reversed(n.args))
+    return out
+
+
+def hint_spy(monkeypatch):
+    """Every split check_proof makes from a hint, each held against unpair."""
+    splits = []
+    real, plain = machine._unpair_near, machine.unpair
+
+    def checked(P, p, a, b):
+        assert p == cantor_pair(a, b)
+        got = real(P, p, a, b)
+        assert got == plain(P)
+        splits.append(P)
+        return got
+
+    monkeypatch.setattr(machine, "_unpair_near", checked)
+    return splits
+
+
+def table_state(table, e, state):
+    """Leave e's code out of the table, in it, or evicted with its subtrees kept."""
+    w = encode_reference(e)
+    if state != "cold":
+        assert encode(e) == w
+    if state == "evicted":
+        table.bits -= w.bit_length()
+        del table.entries[w]
+    return w
+
+
+# Payload moves: near, up and down, and far, up to about twice the code and
+# down to nothing; a far move of a node moves its parent's sum by more than
+# half its bits when the node holds most of that sum.
+moves = [
+    lambda q: q + 1,
+    lambda q: max(q - 1, 0),
+    lambda q: q + 40,
+    lambda q: max(q - 2**64, 0),
+    lambda q: 2 * q + 2 ** (q.bit_length() // 2 + 8),
+    lambda q: 0,
+]
+
+big_wrappers = [
+    lambda b: node("succ", b),
+    lambda b: node("pair", node("succ", b), ARG),
+    lambda b: node("if0", ARG, const(2), node("pair", const(7), b)),
+]
+
+
+def test_check_proof_splits_moved_codes_at_every_depth(monkeypatch):
+    """One node's code at a time moved up or down, near or far, in a 7-kbit
+    lookup under succ, pair and if0; its tag kept or changed.  A hint is
+    taken whenever the claim's program is recorded."""
+    splits = hint_spy(monkeypatch)
+    for wrap in big_wrappers:
+        e = wrap(lookup((0,) * 4 + (1,)))
+        w = encode_reference(e)
+        cases = []
+        for at, n in enumerate(preorder(e)):
+            for move in moves:
+                cases.append((moved_code(e, at, move), n.op == "arg" and move(0) > 0))
+            cases.append((moved_code(e, at, lambda q: q, (machine.TAG[n.op] + 1) % 11), False))
+        expected = [proof_reference(j, w) for j, _ in cases]
+        assert all(got for (_, accepted), got in zip(cases, expected) if accepted)
+        for state in ("cold", "warm", "evicted"):
+            table = machine._CodeTable()
+            monkeypatch.setattr(machine, "_CODES", table)
+            assert table_state(table, e, state) == w
+            before = snapshot(table)
+            splits.clear()
+            assert [check_proof(j, w) for j, _ in cases] == expected
+            assert snapshot(table) == before
+            assert bool(splits) == (state == "warm")
+
+
+@SETTINGS
+@given(
+    st.lists(st.integers(0, 3), min_size=3, max_size=5),
+    st.integers(1, 3),
+    st.sampled_from(range(len(big_wrappers))),
+    st.integers(0, 10**6),
+    st.integers(0, 3),
+    st.one_of(st.integers(-40, 40), st.integers(-(2**80), 2**80)),
+    st.one_of(st.none(), st.integers(0, 11)),
+    st.sampled_from(["cold", "warm", "evicted"]),
+)
+def test_check_proof_with_a_hint_is_decode_then_encode(values, last, wrap, at, scale, shift, tag, state):
+    """One node's payload q becomes scale * q + shift, kept natural, and its
+    tag may change; the claim's program is recorded, evicted or absent."""
+    e = big_wrappers[wrap](lookup(values + [last]))
+    table = machine._CODES
+    w = table_state(table, e, state)
+    before = snapshot(table)
+    j = moved_code(e, at % len(preorder(e)), lambda q: max(scale * q + shift, 0), tag)
+    assert check_proof(j, w) == proof_reference(j, w)
+    assert snapshot(table) == before
+
+
+def test_check_proof_takes_the_hint_for_the_ext_probe_alias(fresh_table, monkeypatch):
+    """The 172-kbit alias is split from its program's stored codes, with no
+    square root of its own."""
+    e = lookup((0,) * 6 + (1,))
+    cert = alias_certificate(e)
+    before = snapshot(fresh_table)
+    splits = hint_spy(monkeypatch)
+    roots = []
+    monkeypatch.setattr(machine, "unpair", lambda c: roots.append(c) or unpair_reference(c))
+    assert check_proof(cert.derivation, cert.index)
+    assert splits and not roots
+    assert snapshot(fresh_table) == before
 
 
 def test_check_proof_rejects_applications_inside_table_hits(fresh_table):
