@@ -223,11 +223,12 @@ def moved_code(e, at, move, tag=None):
         here = todo[0] == 0
         todo[0] -= 1
         kids = [walk(a) for a in n.args]
+        if len(kids) == 3:
+            kids = [kids[0], cantor_pair(kids[1], kids[2])]
         if not kids:
             code = encode_reference(n)
         else:
-            payload = kids[0] if len(kids) == 1 else cantor_pair(kids[0], cantor_pair(*kids[1:]) if kids[2:] else kids[1])
-            code = payload * 12 + machine.TAG[n.op]
+            code = (kids[0] if len(kids) == 1 else cantor_pair(*kids)) * 12 + machine.TAG[n.op]
         if here:
             code = move(code // 12) * 12 + (code % 12 if tag is None else tag)
         return code
