@@ -163,9 +163,11 @@ class Expr:
     op: str
     args: tuple[Expr, ...] = ()
     value: int = 0
-    # The node's code, stored by encode when it records the node.  Not a
-    # field, so ==, hash and repr do not see it.
+    # The node's code, stored by encode when it records the node, and for an
+    # if0 the inner pair of its then and else codes, stored with it.  Not
+    # fields, so ==, hash and repr do not see them.
     _code = None
+    _inner = None
 
     def __post_init__(self):
         if self.op not in ARITY:
@@ -237,22 +239,13 @@ def _decodes_to_itself(e: Expr) -> bool:
     return e.value == 0
 
 
-def _payload(codes: list[int]) -> int:
-    """The payload that carries a node's child codes, left to right."""
-    if len(codes) == 1:
-        return codes[0]
-    if len(codes) == 2:
-        return pair(codes[0], codes[1])
-    return pair(codes[0], pair(codes[1], codes[2]))
-
-
 def encode(e: Expr) -> int:
     """Canonical index: payload * 12 + tag, payloads paired left to right.
 
     Iterative, so a program's depth is limited by memory, not by the host
     stack.  Codes big enough for decode's table are recorded there and
-    stored on their nodes; a later encode takes a stored code instead of
-    walking below it.
+    stored on their nodes, an if0's with its inner pair; a later encode
+    takes a stored code instead of walking below it.
     """
     order = []  # every walked node before its children, last child first
     todo = [e]
@@ -261,25 +254,32 @@ def encode(e: Expr) -> int:
         order.append(n)
         if n.args and n._code is None:
             todo.extend(n.args)
-    big: list[tuple[Expr, int]] = []  # canonical codes the table may take
+    # canonical codes the table may take, with an if0's inner pair if made here
+    big: list[tuple[Expr, int, int | None]] = []
     codes: list[int] = []  # finished subtrees, leftmost child deepest
     for n in reversed(order):
         k = len(n.args)
         if not k:
             codes.append(n.value * 12 + 1 if n.op == "const" else 0)
             continue
-        code = n._code
-        if code is None:
-            code = _payload(codes[-k:]) * 12 + TAG[n.op]
-            del codes[-k:]
+        code, inner = n._code, None
+        if code is None:  # the payload pairs the child codes left to right
+            payload = codes.pop()
+            if k == 3:
+                payload = inner = pair(codes.pop(), payload)
+            if k > 1:
+                payload = pair(codes.pop(), payload)
+            code = payload * 12 + TAG[n.op]
         if code >= _TABLE_MIN_CODE:
-            big.append((n, code))
+            big.append((n, code, inner))
         codes.append(code)
     # Stored only now, so that a node met twice is walked alike both times.
     if big and all(map(_decodes_to_itself, order)):
-        for n, code in big:
+        for n, code, inner in big:
             if code.bit_length() <= _TABLE_MAX_BITS:
                 _set_field(n, "_code", code)
+                if inner is not None:
+                    _set_field(n, "_inner", inner)
                 _CODES.add(code, n)
     return codes[0]
 
@@ -555,10 +555,11 @@ def check_proof(j: int, w: int) -> bool:
 
     w's recorded program, if the table holds it, is walked alongside as a
     hint: a node of j with its hint's tag is split by _unpair_near from the
-    hint's stored code, which is exact however far j has moved from it.
-    Under a stored code every big node stores its own, so a hint child
-    without one is small, and its encode records nothing.  The table is
-    read, never written.
+    hint's stored code, which is exact however far j has moved from it; an
+    if0 is split twice, around the inner pair its hint stores.  Under a
+    stored code every big node stores its own, so a hint child without one
+    is small, and its encode records nothing.  The table is read, never
+    written.
     """
     if j < 0 or w < 0:
         return False
@@ -602,7 +603,9 @@ def check_proof(j: int, w: int) -> bool:
                 cond, rest = unpair(payload)
                 kids = unpair(rest)
             else:
-                inner = pair(near[1], near[2])
+                inner = hint._inner
+                if inner is None:
+                    inner = pair(near[1], near[2])
                 cond, rest = _unpair_near(payload, p, near[0], inner)
                 kids = _unpair_near(rest, inner, near[1], near[2])
             order.append((tag, payload, cond, rest, *kids))
@@ -656,11 +659,11 @@ def alias_certificate(e: Expr) -> TotalityCertificate | None:
     enclosing code up, so the alias always exceeds the canonical index.
     Only the nodes on the path down to that node change, bottom up: each
     moves its canonical payload, read off its stored code when it has one,
-    by its child's change (_repair), and an if0's inner pair is paired
-    once.  Their other children keep their canonical codes from encode,
-    stored ones included, and the codes on the path are never stored or
-    recorded.  None if the program has no argument node (or is not
-    certifiable).
+    by its child's change (_repair); an if0's inner pair moves likewise,
+    read off the node when it stores one, else paired once.  Their other
+    children keep their canonical codes from encode, stored ones included,
+    and the codes on the path are never stored or recorded.  None if the
+    program has no argument node (or is not certifiable).
     """
     if not apply_free(e):
         return None
@@ -680,7 +683,9 @@ def alias_certificate(e: Expr) -> TotalityCertificate | None:
                     p, p2 = old, new
                 else:
                     if len(kids) == 3:  # an if0's inner pair moves like a child
-                        inner = pair(kids[1], kids[2])
+                        inner = parent._inner
+                        if inner is None:
+                            inner = pair(kids[1], kids[2])
                         kids, moved = [kids[0], inner], [moved[0], _repair(inner, *kids[1:], *moved[1:])]
                     code = parent._code
                     p = pair(*kids) if code is None else code // 12

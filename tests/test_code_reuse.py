@@ -25,7 +25,7 @@ from boundlab.machine import (
 from boundlab.realizability import FiniteSupportFn
 
 from oracles import alias_reference, cantor_pair, encode_reference
-from test_decode_table import fields, sized_programs
+from test_decode_table import fields, nodes, sized_programs
 
 SETTINGS = settings(max_examples=80, deadline=None, database=None, derandomize=True)
 
@@ -35,15 +35,6 @@ def fresh_tables(monkeypatch):
     """Each test starts from empty tables and leaves the shared ones alone."""
     monkeypatch.setattr(machine, "_CODES", machine._CodeTable())
     monkeypatch.setattr(realizability, "_PROGRAMS", machine._CodeTable())
-
-
-def nodes(e):
-    out, todo = [], [e]
-    while todo:
-        n = todo.pop()
-        out.append(n)
-        todo.extend(n.args)
-    return out
 
 
 def check_stored_codes(e):

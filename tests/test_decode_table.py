@@ -19,7 +19,7 @@ from boundlab.machine import (
 )
 from boundlab.realizability import FiniteSupportFn
 
-from oracles import decode_reference, encode_reference, unpair_reference
+from oracles import cantor_pair, decode_reference, encode_reference, unpair_reference
 
 SETTINGS = settings(max_examples=120, deadline=None, database=None, derandomize=True)
 
@@ -199,3 +199,61 @@ def test_non_canonical_big_codes_are_split_honestly(fresh_table, monkeypatch):
         assert ([(code, id(e)) for code, e in fresh_table.entries.items()], fresh_table.bits) == before
         for code, e in fresh_table.entries.items():
             assert e._code == code == encode_reference(e)
+
+
+# --- an if0's inner pair, stored beside its code ---------------------------
+
+class Subclassed(Expr):
+    pass
+
+
+def nodes(e):
+    out, todo = [], [e]
+    while todo:
+        n = todo.pop()
+        out.append(n)
+        todo.extend(n.args)
+    return out
+
+
+def slots(e):
+    """What each node of e stores, by identity: its code and inner pair."""
+    return {id(n): (vars(n).get("_code"), vars(n).get("_inner")) for n in nodes(e)}
+
+
+# if0 nodes whose then and else branches reach past the floor, beside the
+# lookups' nested if0s.
+if0_programs = st.one_of(
+    sized_programs,
+    st.tuples(programs, sized_programs, sized_programs).map(lambda t: node("if0", *t)),
+)
+# One node decode would not rebuild, above the whole program.
+spoilers = [
+    lambda e: Expr("pair", [e, ARG]),  # list args
+    lambda e: Subclassed("succ", (e,)),
+    lambda e: node("if0", Expr("arg", (), 3), e, ARG),  # a stray value
+]
+
+
+@SETTINGS
+@given(if0_programs, st.sampled_from([None, *range(len(spoilers))]))
+def test_inner_pairs_are_stored_with_their_if0_codes(e, spoil):
+    """Every node with an inner pair is an if0 that stores its code, and the
+    pair is that of its then and else codes; every if0 that stores its code
+    stores its inner pair too.  Encoding a program decode would not rebuild
+    stores neither slot anywhere in it."""
+    if spoil is not None:
+        e = spoilers[spoil](e)
+    before = slots(e)
+    assert encode(e) == encode_reference(e)
+    if spoil is not None:
+        assert slots(e) == before
+    for n in nodes(e):
+        if "_inner" in vars(n):
+            assert n.op == "if0" and "_code" in vars(n)
+            assert n._inner == cantor_pair(encode_reference(n.args[1]), encode_reference(n.args[2]))
+        elif n.op == "if0":
+            assert "_code" not in vars(n)
+        if spoil is None:
+            big = n.args and machine._TABLE_MIN_BITS <= encode_reference(n).bit_length()
+            assert ("_code" in vars(n)) == bool(big)

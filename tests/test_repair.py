@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boundlab import machine
+from boundlab import machine, realizability
 from boundlab.machine import (
     ARG,
     Expr,
@@ -340,18 +340,91 @@ def test_check_proof_with_a_hint_is_decode_then_encode(values, last, wrap, at, s
     assert snapshot(table) == before
 
 
+EXT_PROBE = (0,) * 6 + (1,)  # the lookup whose alias ext_probe checks in every row
+
+
+def ext_probe_certificate(monkeypatch):
+    """ext_probe's certificate, as a row makes it: index(), then the alias
+    of the program index() kept; and that program."""
+    monkeypatch.setattr(realizability, "_PROGRAMS", machine._CodeTable())
+    g = FiniteSupportFn(EXT_PROBE)
+    g.index()
+    e = g.program()
+    return alias_certificate(e), e
+
+
+def pair_spy(monkeypatch):
+    """The wider operand's bits of every pair the machine makes."""
+    widths = []
+    real = machine.pair
+    monkeypatch.setattr(machine, "pair", lambda a, b: widths.append(max(a, b).bit_length()) or real(a, b))
+    return widths
+
+
 def test_check_proof_takes_the_hint_for_the_ext_probe_alias(fresh_table, monkeypatch):
     """The 172-kbit alias is split from its program's stored codes, with no
-    square root of its own."""
-    e = lookup((0,) * 6 + (1,))
-    cert = alias_certificate(e)
+    square root of its own; it and its check square nothing big, since the
+    root if0's 86-kbit inner pair is read off its node."""
+    widths = pair_spy(monkeypatch)
+    cert, e = ext_probe_certificate(monkeypatch)
+    assert cert == TotalityCertificate(alias_reference(e), encode_reference(e))
     before = snapshot(fresh_table)
     splits = hint_spy(monkeypatch)
     roots = []
     monkeypatch.setattr(machine, "unpair", lambda c: roots.append(c) or unpair_reference(c))
+    widths.clear()
+    cert = alias_certificate(e)
     assert check_proof(cert.derivation, cert.index)
     assert splits and not roots
     assert snapshot(fresh_table) == before
+    assert all(bits <= machine._TABLE_MIN_BITS for bits in widths)
+
+
+def strip_inner_pairs(e):
+    """Empty every node's inner-pair slot, leaving its stored code."""
+    emptied = 0
+    for n in preorder(e):
+        if "_inner" in vars(n):
+            object.__delattr__(n, "_inner")
+            emptied += 1
+    return emptied
+
+
+def test_ext_probe_alias_is_the_same_from_any_cache_state(fresh_table, monkeypatch):
+    """A fresh build of the program, which stores no codes until the alias
+    encodes it; the stored program with the table emptied, so check_proof
+    takes no hint; and the fresh build with its inner pairs emptied but its
+    codes kept, so both pair them afresh: each gives the stored path's
+    certificate and verdicts."""
+    cert, stored = ext_probe_certificate(monkeypatch)
+
+    def verdicts(cert):
+        j, w = cert.derivation, cert.index
+        return [check_proof(j, w), check_proof(j, w + 12), check_proof(j + 12, w), check_proof(w, w)]
+
+    expected = verdicts(cert)
+    assert expected == [True, False, False, True]
+
+    monkeypatch.setattr(realizability, "_PROGRAMS", machine._CodeTable())
+    fresh = FiniteSupportFn(EXT_PROBE).program()
+    assert fresh == stored and fresh is not stored
+    assert not any("_code" in vars(n) or "_inner" in vars(n) for n in preorder(fresh))
+    assert alias_certificate(fresh) == cert
+    assert verdicts(cert) == expected
+
+    assert "_inner" in vars(stored)
+    assert alias_certificate(stored) == cert
+    machine._CODES.entries.clear()
+    machine._CODES.bits = 0
+    splits = hint_spy(monkeypatch)
+    assert verdicts(cert) == expected
+    assert not splits
+
+    assert strip_inner_pairs(fresh) > 0
+    widths = pair_spy(monkeypatch)
+    assert alias_certificate(fresh) == cert
+    assert verdicts(cert) == expected
+    assert splits and max(widths) > machine._TABLE_MIN_BITS  # the emptied slots were paired afresh
 
 
 def test_check_proof_rejects_applications_inside_table_hits(fresh_table):
