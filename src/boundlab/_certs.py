@@ -158,12 +158,13 @@ def _build_fp_scenario(inputs: dict) -> dict:
     return _make("fp.scenario", inputs, trace, outputs)
 
 
-_BUILDERS: dict[str, Callable[[dict], dict]] = {
-    "fuse.bound": _build_fuse_bound,
-    "fuse.pseudo": _build_fuse_pseudo,
-    "fuse.dc": _build_fuse_dc,
-    "as.schedule": _build_as_schedule,
-    "fp.scenario": _build_fp_scenario,
+# Each operation's builder, with every input field it reads.
+_BUILDERS: dict[str, tuple[Callable[[dict], dict], tuple[str, ...]]] = {
+    "fuse.bound": (_build_fuse_bound, ("p", "term", "level", "at")),
+    "fuse.pseudo": (_build_fuse_pseudo, ("p", "point", "stages", "terms")),
+    "fuse.dc": (_build_fuse_dc, ("p", "start", "steps", "oracle")),
+    "as.schedule": (_build_as_schedule, ("q", "oracle", "level", "horizon")),
+    "fp.scenario": (_build_fp_scenario, ("seed", "count", "window", "budget")),
 }
 
 
@@ -171,7 +172,10 @@ def build(operation: str, inputs: dict) -> dict:
     """Run a certified operation and wrap it with its replayable trace."""
     if operation not in _BUILDERS:
         raise FormatError(f"unknown certified operation {operation!r}")
-    return _BUILDERS[operation](inputs)
+    builder, fields = _BUILDERS[operation]
+    for key in inputs:
+        _expect(key in fields, f"unknown input field {key!r}")
+    return builder(inputs)
 
 
 # --- verification ---------------------------------------------------------

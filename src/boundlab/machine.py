@@ -547,90 +547,60 @@ def check_proof(j: int, w: int) -> bool:
     canonical index is w.  Application-free programs always terminate, so
     accepted certificates only ever certify genuinely total programs.
 
-    j is walked top down as decode walks it, table hits included, but no
-    program is built: the canonical codes are then made bottom up, each
-    payload moved from j's own by its children's change (_repair).  The
-    numbering fails to be injective only at the argument, whose every
-    payload means the same node, so this is encode(decode(j)) == w.
-
-    w's recorded program, if the table holds it, is walked alongside as a
-    hint: a node of j with its hint's tag is split by _unpair_near from the
-    hint's stored code, which is exact however far j has moved from it; an
-    if0 is split twice, around the inner pair its hint stores.  Under a
-    stored code every big node stores its own, so a hint child without one
-    is small, and its encode records nothing.  The table is read, never
-    written.
+    This is encode(decode(j)) == w, checked in one top-down walk over pairs
+    of codes, j's and w's at the same place; no program is built.  j is
+    walked as decode walks it: a table hit is canonical, so it must be w's
+    code.  Elsewhere the tags must agree and not be apply; an argument's
+    payload must be 0 in w, since the numbering fails to be injective only
+    there, and a constant's the same in both.  w's payload is split by
+    unpair, or read off its recorded program's stored codes when the table
+    holds it; j's is split by _unpair_near around w's split, which is exact
+    whatever w is.  The walk stops at the first disagreement, so it visits
+    no more nodes than w's program has.  The table is read, never written.
     """
     if j < 0 or w < 0:
         return False
     table = _CODES.entries
-    # Canonical codes of finished leaves and table hits, or an inner node's
-    # tag, then its payload and the child codes it holds, as decode splits it.
-    order: list[int | tuple[int, ...]] = []
-    # Codes still to split, each with its hint, the node of w's program at
-    # the same place, or None; a hint counts only with the code's tag and a
-    # stored code of its own.
-    todo: list[tuple[int, Expr | None]] = [(j, table.get(w) if w >= _TABLE_MIN_CODE else None)]
-    unhinted = (None, None, None)
+    todo = [(j, w)]  # j's codes still to check, each with w's at the same place
     while todo:
-        c, hint = todo.pop()
+        c, cw = todo.pop()
         if c >= _TABLE_MIN_CODE:
             hit = table.get(c)
             if hit is not None:
-                if not apply_free(hit):
+                if c != cw or not apply_free(hit):
                     return False
-                order.append(c)
                 continue
         payload, tag = divmod(c, 12)
+        pw, tw = divmod(cw, 12)
         op = OPS[tag]
-        if tag < 2:
-            order.append(c if tag else 0)  # every argument payload means ARG
-            continue
-        if op == "apply":
+        if tag != tw or op == "apply":
             return False
-        if hint is not None and (hint.op != op or hint._code is None):
-            hint = None
-        hints = unhinted if hint is None else hint.args
-        if ARITY[op] == 1:
-            order.append((tag,))
-            todo.append((payload, hints[0]))
+        if tag < 2:
+            if pw != (payload if tag else 0):  # every argument payload means ARG
+                return False
             continue
-        if hint is not None:
-            p = hint._code // 12
-            near = [encode(h) if h._code is None else h._code for h in hints]
-        if op == "if0":
-            if hint is None:
-                cond, rest = unpair(payload)
-                kids = unpair(rest)
-            else:
-                inner = hint._inner
+        k = ARITY[op]
+        if k == 1:
+            todo.append((payload, pw))
+            continue
+        n = table.get(cw) if cw >= _TABLE_MIN_CODE else None
+        if n is None:
+            kids = unpair(pw)
+            if k == 3:
+                inner = kids[1]
+                kids = (kids[0], *unpair(inner))
+        else:  # under a stored code every big node stores its own, so encode records nothing
+            kids = [encode(h) if h._code is None else h._code for h in n.args]
+            if k == 3:
+                inner = n._inner
                 if inner is None:
-                    inner = pair(near[1], near[2])
-                cond, rest = _unpair_near(payload, p, near[0], inner)
-                kids = _unpair_near(rest, inner, near[1], near[2])
-            order.append((tag, payload, cond, rest, *kids))
-            todo.extend(zip((cond, *kids), hints))
+                    inner = pair(kids[1], kids[2])
+        if k == 3:
+            cond, rest = _unpair_near(payload, pw, kids[0], inner)
+            todo.extend(zip((cond, *_unpair_near(rest, inner, kids[1], kids[2])), kids))
         else:
-            kids = unpair(payload) if hint is None else _unpair_near(payload, p, *near)
-            order.append((tag, payload, *kids))
-            todo.extend(zip(kids, hints))
-    codes: list[int] = []  # canonical codes of finished subtrees, leftmost deepest
-    for item in reversed(order):
-        if type(item) is int:
-            codes.append(item)
-            continue
-        if len(item) == 1:
-            payload = codes.pop()
-        elif len(item) == 4:
-            _, p, a, b = item
-            b2 = codes.pop()
-            payload = _repair(p, a, b, codes.pop(), b2)
-        else:
-            _, p, cond, rest, a, b = item
-            b2, a2, cond2 = codes.pop(), codes.pop(), codes.pop()
-            payload = _repair(p, cond, rest, cond2, _repair(rest, a, b, a2, b2))
-        codes.append(payload * 12 + item[0])
-    return codes[0] == w
+            todo.extend(zip(_unpair_near(payload, pw, *kids), kids))
+    return True
 
 
 @record

@@ -260,3 +260,36 @@ def test_a_boolean_split_depth_is_malformed():
     for at in (True, False):
         with pytest.raises(FormatError, match="'at' must be a natural"):
             build("fuse.bound", dict(inputs, at=at))
+
+
+def _small_inputs(operation):
+    """Inputs of a quick certificate for each operation."""
+    p, p1 = make_open(0, [], 2, 1), make_open(0, [], 1, 1)
+    oracle = StarOracle({n: n + 1 for n in range(7)}, {(0, (0,)): False}, True)
+    return {
+        "fuse.bound": {"p": open_to_json(p), "term": _identity1_json(p), "level": 1},
+        "fuse.pseudo": {
+            "p": open_to_json(p1),
+            "point": point_to_json(Point((), 0)),
+            "stages": 2,
+            "terms": [_identity1_json(p1)] * 3,
+        },
+        "fuse.dc": {"p": open_to_json(p), "start": 2, "steps": 3, "oracle": "successor"},
+        "as.schedule": {"q": open_to_json(p), "oracle": oracle_to_json(oracle), "level": 1, "horizon": 6},
+        "fp.scenario": {"seed": 1, "count": 1, "window": 3},
+    }[operation]
+
+
+@pytest.mark.parametrize(
+    "operation, field",
+    [("fuse.bound", "note"), ("fuse.pseudo", "note"), ("fuse.dc", "note"), ("as.schedule", "horizon2"), ("fp.scenario", "note")],
+)
+def test_an_input_field_the_operation_never_reads_is_rejected(operation, field):
+    inputs = _small_inputs(operation)
+    cert = build(operation, inputs)
+    assert verify(cert) == cert["outputs"]
+    extra = dict(inputs, **{field: "x"})
+    with pytest.raises(FormatError, match=f"unknown input field '{field}'"):
+        build(operation, extra)
+    with pytest.raises(BadCertificate, match=f"unknown input field '{field}'"):
+        verify(dict(cert, inputs=extra))

@@ -1,15 +1,18 @@
 """Re-pairing and unpairing by difference.
 
 `_repair` moves a Cantor code by its finite difference instead of pairing
-again; `check_proof` and `alias_certificate` build their codes with it.
-`_unpair_near` splits a code by stepping from a known pair instead of
-taking a square root; `check_proof` splits with it from the codes its
-claim's recorded program stores.  Each is held against the plain
+again; `alias_certificate` builds its codes with it.  `_unpair_near` splits
+a code by stepping from a known pair instead of taking a square root;
+`check_proof` splits each of the certificate's codes with it around the
+claim's code at the same place, whose split it reads off the claim's
+recorded program when the table holds it.  Each is held against the plain
 computation it replaces: `_repair` against `pair`, `_unpair_near` against
 `unpair`, `check_proof` against decoding and re-encoding by the
 references, `alias_certificate` against `alias_reference`, on codes on
 both sides of the decode table's floor and with the table cold and warm.
 """
+
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -176,17 +179,18 @@ def proof_reference(j, w):
 
 
 @SETTINGS
-@given(sized_programs, arg_payloads, st.integers(0, 3), st.integers(-24, 24), st.booleans())
-def test_check_proof_is_decode_then_encode(e, payloads, claim, shift, warm):
+@given(sized_programs, arg_payloads, arg_payloads, st.integers(0, 4), st.integers(-24, 24), st.booleans())
+def test_check_proof_is_decode_then_encode(e, payloads, payloads_w, claim, shift, warm):
     """j codes e with the argument nodes carried by the drawn payloads; w is
-    e's canonical code, shifted, or unrelated to it."""
+    e's canonical code, shifted, unrelated to it, or e coded with other
+    argument payloads, which is canonical only when they are all 0."""
     if warm:
         encode(e)
     table = machine._CODES
     before = snapshot(table)
     j = encode_reference(e, list(payloads))
     canonical = encode_reference(e)
-    w = [canonical, canonical + shift, shift, canonical + 12 * shift][claim]
+    w = [canonical, canonical + shift, shift, canonical + 12 * shift, encode_reference(e, list(payloads_w))][claim]
     assert check_proof(j, w) == proof_reference(j, w)
     assert check_proof(j, canonical) == apply_free(e)
     assert snapshot(table) == before
@@ -211,7 +215,24 @@ def test_check_proof_reads_non_canonical_arguments_at_every_depth(fresh_table):
         assert snapshot(fresh_table) == before
 
 
-# --- check_proof with its claim's recorded program as a hint --------------
+def test_check_proof_stops_at_its_claim():
+    """A 358-kbit chain of 100,000 succ nodes against the claim (succ arg):
+    the walk stops at the second node, where the claim has an argument."""
+    j = 2 * (12**100000 - 1) // 11
+
+    def expired(signum, frame):
+        raise TimeoutError("check_proof walked past its claim")
+
+    old = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(1)
+    try:
+        assert not check_proof(j, 2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+# --- check_proof with its claim's recorded program -------------------------
 
 def moved_code(e, at, move, tag=None):
     """encode_reference(e), with the payload q of e's node number `at` in
@@ -246,7 +267,7 @@ def preorder(e):
 
 
 def hint_spy(monkeypatch):
-    """Every split check_proof makes from a hint, each held against unpair."""
+    """Every split check_proof makes near the claim, each held against unpair."""
     splits = []
     real, plain = machine._unpair_near, machine.unpair
 
@@ -259,6 +280,28 @@ def hint_spy(monkeypatch):
 
     monkeypatch.setattr(machine, "_unpair_near", checked)
     return splits
+
+
+def unpair_spy(monkeypatch):
+    """Every code the machine unpairs by a square root."""
+    roots = []
+    monkeypatch.setattr(machine, "unpair", lambda c: roots.append(c) or unpair_reference(c))
+    return roots
+
+
+def split_payloads(e):
+    """The payloads a split can meet among the codes encode records for e:
+    those of its big nodes with two or three children, and each big if0's
+    inner pair."""
+    out = set()
+    for n in preorder(e):
+        code = encode_reference(n)
+        if len(n.args) > 1 and code >= machine._TABLE_MIN_CODE:
+            p = code // 12
+            out.add(p)
+            if len(n.args) == 3:
+                out.add(unpair_reference(p)[1])
+    return out
 
 
 def table_state(table, e, state):
@@ -293,12 +336,15 @@ big_wrappers = [
 
 def test_check_proof_splits_moved_codes_at_every_depth(monkeypatch):
     """One node's code at a time moved up or down, near or far, in a 7-kbit
-    lookup under succ, pair and if0; its tag kept or changed.  A hint is
-    taken whenever the claim's program is recorded."""
+    lookup under succ, pair and if0; its tag kept or changed.  Each state
+    splits near the claim; only when the claim's program is recorded does
+    no payload of it take a square root."""
     splits = hint_spy(monkeypatch)
+    roots = unpair_spy(monkeypatch)
     for wrap in big_wrappers:
         e = wrap(lookup((0,) * 4 + (1,)))
         w = encode_reference(e)
+        payloads = split_payloads(e)
         cases = []
         for at, n in enumerate(preorder(e)):
             for move in moves:
@@ -312,9 +358,11 @@ def test_check_proof_splits_moved_codes_at_every_depth(monkeypatch):
             assert table_state(table, e, state) == w
             before = snapshot(table)
             splits.clear()
+            roots.clear()
             assert [check_proof(j, w) for j, _ in cases] == expected
             assert snapshot(table) == before
-            assert bool(splits) == (state == "warm")
+            assert splits
+            assert bool(payloads.intersection(roots)) == (state != "warm")
 
 
 @SETTINGS
@@ -370,8 +418,7 @@ def test_check_proof_takes_the_hint_for_the_ext_probe_alias(fresh_table, monkeyp
     assert cert == TotalityCertificate(alias_reference(e), encode_reference(e))
     before = snapshot(fresh_table)
     splits = hint_spy(monkeypatch)
-    roots = []
-    monkeypatch.setattr(machine, "unpair", lambda c: roots.append(c) or unpair_reference(c))
+    roots = unpair_spy(monkeypatch)
     widths.clear()
     cert = alias_certificate(e)
     assert check_proof(cert.derivation, cert.index)
@@ -393,9 +440,9 @@ def strip_inner_pairs(e):
 def test_ext_probe_alias_is_the_same_from_any_cache_state(fresh_table, monkeypatch):
     """A fresh build of the program, which stores no codes until the alias
     encodes it; the stored program with the table emptied, so check_proof
-    takes no hint; and the fresh build with its inner pairs emptied but its
-    codes kept, so both pair them afresh: each gives the stored path's
-    certificate and verdicts."""
+    unpairs the claim afresh; and the fresh build with its inner pairs
+    emptied but its codes kept, so both pair them afresh: each gives the
+    stored path's certificate and verdicts."""
     cert, stored = ext_probe_certificate(monkeypatch)
 
     def verdicts(cert):
@@ -404,6 +451,10 @@ def test_ext_probe_alias_is_the_same_from_any_cache_state(fresh_table, monkeypat
 
     expected = verdicts(cert)
     assert expected == [True, False, False, True]
+    roots = unpair_spy(monkeypatch)
+    j, w = cert.derivation, cert.index
+    assert [check_proof(j, w), check_proof(j + 12, w), check_proof(w, w)] == [True, False, True]
+    assert not split_payloads(stored).intersection(roots)  # w is recorded
 
     monkeypatch.setattr(realizability, "_PROGRAMS", machine._CodeTable())
     fresh = FiniteSupportFn(EXT_PROBE).program()
@@ -417,8 +468,9 @@ def test_ext_probe_alias_is_the_same_from_any_cache_state(fresh_table, monkeypat
     machine._CODES.entries.clear()
     machine._CODES.bits = 0
     splits = hint_spy(monkeypatch)
+    roots.clear()
     assert verdicts(cert) == expected
-    assert not splits
+    assert splits and split_payloads(stored).intersection(roots)
 
     assert strip_inner_pairs(fresh) > 0
     widths = pair_spy(monkeypatch)
