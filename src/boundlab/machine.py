@@ -50,6 +50,7 @@ def _repair(p: int, a: int, b: int, a2: int, b2: int) -> int:
 # divmod; above it, the recursions beat isqrt's and divmod's schoolbook
 # division, whose cost in CPython 3.11 grows quadratically with the size.
 _SQRT_FLOOR_BITS = 4096
+_SQRT_FLOOR = 1 << (_SQRT_FLOOR_BITS - 1)  # least value of that many bits
 
 
 def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:
@@ -114,8 +115,14 @@ def _sqrtrem(n: int) -> tuple[int, int]:
 def unpair(c: int) -> tuple[int, int]:
     """Cantor unpairing, read off the remainder of one exact square root:
     8c + 1 - t*t is 8b when t = 2s + 1, and 8b - 2t + 1 when t = 2s + 2,
-    so no second squaring is needed."""
-    t, r = _sqrtrem(8 * c + 1)
+    so no second squaring is needed.  Below the floor the root is taken
+    here, as _sqrtrem would take it."""
+    n = 8 * c + 1
+    if n < _SQRT_FLOOR:
+        t = isqrt(n)
+        r = n - t * t
+    else:
+        t, r = _sqrtrem(n)
     s = (t - 1) >> 1
     b = r >> 3 if t & 1 else (r + 2 * t - 1) >> 3
     return s - b, b
@@ -129,6 +136,8 @@ def _unpair_near(P: int, p: int, a: int, b: int) -> tuple[int, int]:
     s2 - s: stepping down from T(s + d) = T(s) + d(2s + d + 1)/2 to the
     first T(s2) <= P is exact whatever the hint.  A d with more than half
     the bits of s is unpaired afresh; within that, a few steps suffice."""
+    if P == p:  # the hint itself: its own children, as the same objects
+        return a, b
     s = a + b
     t = p - b
     r, n = P - t, s.bit_length()
@@ -198,16 +207,23 @@ LOOPER = node("apply", ARG, ARG)
 # programs, so that decode can skip unpairing them; each code is also stored
 # on its node, so that encode can skip walking below it.  Only programs that
 # decode would rebuild field for field go in, so a hit returns an equal
-# program; charges depend on bit lengths alone and do not move.
+# program; charges depend on bit lengths alone and do not move.  A code is
+# kept under a short fingerprint of it (_key), and a hit counts only when
+# the node's stored code is the code looked up (_lookup).
 _TABLE_MIN_BITS = 1024
 _TABLE_MAX_BITS = 1 << 23
 _TABLE_MIN_CODE = 1 << (_TABLE_MIN_BITS - 1)  # least code of that many bits
+_KEY_BITS = 48
+_KEY_MASK = (1 << _KEY_BITS) - 1
 
 
 class _CodeTable:
     """Nodes that carry their codes, under any keys, oldest first.  Their
-    codes hold at most _TABLE_MAX_BITS bits in all; the oldest entries make
-    room for new ones."""
+    own codes hold at most _TABLE_MAX_BITS bits in all; the oldest entries
+    make room for new ones.  The bound counts each entry's own _code only,
+    not the codes and inner pairs stored on the nodes below it: a lookup
+    program kept by FiniteSupportFn.index() holds about twice its root
+    code's bits on its nodes."""
 
     __slots__ = ("entries", "bits")
 
@@ -225,6 +241,23 @@ class _CodeTable:
             self.bits -= self.entries.popitem(last=False)[1]._code.bit_length()
         self.entries[key] = e
         self.bits += bits
+
+
+def _key(c: int) -> int:
+    """c's key in _CODES, for c of at least _KEY_BITS bits: its length, its
+    top _KEY_BITS bits and its low ones.  hash(c) reads every digit of c;
+    this reads a few.  The low bits alone would not do: each unary node
+    multiplies its child's code by 12, so above 24 of them the low 48 bits
+    no longer depend on the code below, while the top bits still do."""
+    n = c.bit_length()
+    return (n << _KEY_BITS | c >> n - _KEY_BITS) << _KEY_BITS | c & _KEY_MASK
+
+
+def _lookup(c: int) -> Expr | None:
+    """The node _CODES holds for c.  Distinct codes may share a key, so a
+    hit counts only when the node's own code is c; a miss is unpaired."""
+    n = _CODES.entries.get(_key(c))
+    return n if n is not None and n._code == c else None
 
 
 _CODES = _CodeTable()
@@ -280,7 +313,7 @@ def encode(e: Expr) -> int:
                 _set_field(n, "_code", code)
                 if inner is not None:
                     _set_field(n, "_inner", inner)
-                _CODES.add(code, n)
+                _CODES.add(_key(code), n)
     return codes[0]
 
 
@@ -306,13 +339,12 @@ def decode(code: int) -> Expr:
     """
     if code < 0:
         raise ValueError("indices are naturals")
-    table = _CODES.entries
     order: list[Expr | str] = []  # finished leaves, or the op of an inner node
     todo = [code]
     while todo:
         c = todo.pop()
         if c >= _TABLE_MIN_CODE:
-            hit = table.get(c)
+            hit = _lookup(c)
             if hit is not None:
                 order.append(hit)
                 continue
@@ -433,7 +465,7 @@ class _Fuel:
         self.remaining = budget
 
     def charge(self, result: int) -> int:
-        self.remaining -= max(1, result.bit_length())
+        self.remaining -= result.bit_length() or 1
         if self.remaining <= 0:
             raise OutOfFuel
         return result
@@ -560,12 +592,11 @@ def check_proof(j: int, w: int) -> bool:
     """
     if j < 0 or w < 0:
         return False
-    table = _CODES.entries
     todo = [(j, w)]  # j's codes still to check, each with w's at the same place
     while todo:
         c, cw = todo.pop()
         if c >= _TABLE_MIN_CODE:
-            hit = table.get(c)
+            hit = _lookup(c)
             if hit is not None:
                 if c != cw or not apply_free(hit):
                     return False
@@ -583,7 +614,7 @@ def check_proof(j: int, w: int) -> bool:
         if k == 1:
             todo.append((payload, pw))
             continue
-        n = table.get(cw) if cw >= _TABLE_MIN_CODE else None
+        n = _lookup(cw) if cw >= _TABLE_MIN_CODE else None
         if n is None:
             kids = unpair(pw)
             if k == 3:

@@ -1,6 +1,8 @@
 """decode's table of codes encode has produced: it answers exactly what
 unpairing would, stays within its size cap, and leaves charges alone."""
 
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,8 @@ from boundlab.machine import (
     eval_profile,
     node,
 )
-from boundlab.realizability import FiniteSupportFn
+from boundlab import realizability
+from boundlab.realizability import FiniteSupportFn, make_F_beta
 
 from oracles import cantor_pair, decode_reference, encode_reference, unpair_reference
 
@@ -43,10 +46,17 @@ def fields(e):
     return out
 
 
+def recorded(c):
+    """The node decode finds in the table for c, if any."""
+    return machine._lookup(c) if c >= machine._TABLE_MIN_CODE else None
+
+
 def check_table(table):
+    codes = [e._code for e in table.entries.values()]
     assert table.bits <= machine._TABLE_MAX_BITS
-    assert table.bits == sum(c.bit_length() for c in table.entries)
-    assert all(c.bit_length() >= machine._TABLE_MIN_BITS for c in table.entries)
+    assert table.bits == sum(c.bit_length() for c in codes)
+    assert all(c.bit_length() >= machine._TABLE_MIN_BITS for c in codes)
+    assert list(table.entries) == [machine._key(c) for c in codes]
 
 
 def succ_chain(e, depth):
@@ -85,7 +95,9 @@ def test_decode_of_encode_matches_the_table_free_decode(e):
     check_table(table)
     assert fields(decode(code)) == fields(decode_reference(code)) == fields(e)
     if code.bit_length() >= machine._TABLE_MIN_BITS and e.args:
-        assert decode(code) is table.entries[code]
+        # e's node, an equal one recorded earlier, or one whose code has the same key
+        kept = table.entries[machine._key(code)]
+        assert (decode(code) is kept) == (kept._code == code)
 
 
 def test_examples_reach_both_sides_of_the_floor():
@@ -98,8 +110,8 @@ def test_evicted_codes_still_decode(fresh_table):
     programs = [node("pair", const(2**200_000 + i), ARG) for i in range(60)]
     codes = [encode(p) for p in programs]
     check_table(fresh_table)
-    assert codes[0] not in fresh_table.entries  # 60 codes of ~400 kbit exceed the cap
-    assert codes[-1] in fresh_table.entries
+    assert machine._key(codes[0]) not in fresh_table.entries  # 60 codes of ~400 kbit exceed the cap
+    assert machine._key(codes[-1]) in fresh_table.entries
     for p, c in zip(programs, codes):
         assert fields(decode(c)) == fields(p)
     assert decode(codes[-1]) is programs[-1]
@@ -131,6 +143,42 @@ def test_stray_value_does_not_leak(fresh_table):
     assert decode(encode(body)) is body
 
 
+class KeyGuard(OrderedDict):
+    """Table entries that refuse any key but a small natural, whose hash
+    reads a few digits, not a code's every one."""
+
+    def check(self, key):
+        assert type(key) is int and 0 <= key < 2**128
+        return key
+
+    def get(self, key, default=None):
+        return super().get(self.check(key), default)
+
+    def __contains__(self, key):
+        return super().__contains__(self.check(key))
+
+    def __setitem__(self, key, value):
+        super().__setitem__(self.check(key), value)
+
+
+def test_no_lookup_hashes_a_code(fresh_table, monkeypatch):
+    """ext_probe's work on lookups of 5 to 8 values, codes of 7 to 806
+    kbit: index(), decoding it, running a probe on it, and checking its
+    alias.  Every key the table is asked for or given is below 2**128."""
+    monkeypatch.setattr(realizability, "_PROGRAMS", machine._CodeTable())
+    fresh_table.entries = KeyGuard()
+    probe = make_F_beta(node("succ", ARG), 3)
+    for size in range(5, 9):
+        g = FiniteSupportFn((0,) * (size - 1) + (1,))
+        idx = g.index()
+        assert decode(idx) is g.program() and g.index() == idx
+        assert eval_profile(probe, idx, 10**8)[0] == g.value(4)
+        cert = alias_certificate(g.program())
+        assert check_proof(cert.derivation, cert.index)
+        assert not check_proof(cert.derivation + 12, cert.index)
+    assert len(fresh_table.entries) > 10
+
+
 def test_non_canonical_code_decodes_honestly():
     program = FiniteSupportFn((0, 0, 0, 0, 0, 0, 1)).program()
     cert = alias_certificate(program)
@@ -146,7 +194,7 @@ def test_charges_do_not_depend_on_the_table(fresh_table):
     g = FiniteSupportFn((0, 0, 0, 0, 1, 2))
     probe = node("apply", ARG, const(5))
     idx = g.index()
-    assert idx in fresh_table.entries
+    assert machine._key(idx) in fresh_table.entries
     hit = eval_profile(probe, idx, 10**8)
     fresh_table.entries.clear()
     fresh_table.bits = 0
@@ -194,11 +242,11 @@ def test_non_canonical_big_codes_are_split_honestly(fresh_table, monkeypatch):
         assert not fresh_table.entries and fresh_table.bits == 0
         encode(program)
         before = [(code, id(e)) for code, e in fresh_table.entries.items()], fresh_table.bits
-        assert before[0] and cert.derivation not in fresh_table.entries
+        assert before[0] and machine._key(cert.derivation) not in fresh_table.entries
         assert check_proof(cert.derivation, cert.index)
         assert ([(code, id(e)) for code, e in fresh_table.entries.items()], fresh_table.bits) == before
-        for code, e in fresh_table.entries.items():
-            assert e._code == code == encode_reference(e)
+        for key, e in fresh_table.entries.items():
+            assert key == machine._key(e._code) and e._code == encode_reference(e)
 
 
 # --- an if0's inner pair, stored beside its code ---------------------------

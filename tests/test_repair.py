@@ -29,6 +29,7 @@ from boundlab.machine import (
     apply_free,
     check_proof,
     const,
+    decode,
     encode,
     node,
 )
@@ -132,6 +133,15 @@ def test_unpair_near_steps_only_within_half_the_bits(monkeypatch):
         for P in range(12):
             assert _unpair_near(P, cantor_pair(a, b), a, b) == unpair_reference(P)
         assert len(fresh) == 12 - (a + b + 1)
+
+
+@SETTINGS
+@given(naturals, naturals)
+def test_unpair_near_of_the_hint_is_its_children(a, b):
+    p = cantor_pair(a, b)
+    got = _unpair_near(p, p, a, b)
+    assert got == (a, b) and got[0] is a and got[1] is b
+    assert _unpair_near(p + 1 - 1, p, a, b) == (a, b)  # an equal code, not the hint's own object
 
 
 # --- check_proof against decode-and-encode ---------------------------------
@@ -311,7 +321,7 @@ def table_state(table, e, state):
         assert encode(e) == w
     if state == "evicted":
         table.bits -= w.bit_length()
-        del table.entries[w]
+        del table.entries[machine._key(w)]
     return w
 
 
@@ -481,10 +491,43 @@ def test_ext_probe_alias_is_the_same_from_any_cache_state(fresh_table, monkeypat
 
 def test_check_proof_rejects_applications_inside_table_hits(fresh_table):
     body = node("pair", lookup((0, 0, 0, 0, 1)), node("apply", ARG, ARG))
-    assert encode(body) in fresh_table.entries
+    assert machine._key(encode(body)) in fresh_table.entries
     outer = node("succ", body)
     for j in (encode(outer), encode_reference(outer, [3])):
         assert not check_proof(j, encode(outer))
+
+
+# --- codes whose keys collide ----------------------------------------------
+
+def test_a_code_under_another_codes_key_is_unpaired(fresh_table):
+    """c ^ 2**100 has c's length and c's top and low bits, so it has c's
+    key: the table answers it with c's node, which the lookup turns down."""
+    e = lookup((0, 0, 0, 0, 1))
+    c = encode(e)
+    c2 = c ^ (1 << 100)
+    assert machine._key(c2) == machine._key(c) and fresh_table.entries[machine._key(c)] is e
+    assert machine._lookup(c) is e and machine._lookup(c2) is None
+    assert decode(c2) == decode_reference(c2) and decode(c) is e
+    for j, w in ((c2, c), (c, c2), (c2, c2), (c2, encode_reference(decode_reference(c2)))):
+        assert check_proof(j, w) == proof_reference(j, w)
+
+
+def test_a_claim_whose_nodes_share_their_keys_with_other_nodes(fresh_table):
+    """Every big node of one lookup entered by hand under the key of the
+    code at the same place in another: the walks of both programs miss
+    the table and split every code themselves."""
+    other, e = lookup((0, 0, 0, 0, 0, 1)), lookup((0, 0, 0, 0, 0, 2))
+    encode(other)
+    pairs = [(n, encode_reference(m)) for n, m in zip(preorder(other), preorder(e)) if "_code" in vars(n)]
+    assert len(pairs) == 3
+    for n, code in pairs:
+        fresh_table.entries[machine._key(code)] = n
+    w = encode_reference(e)
+    assert machine._lookup(w) is None and fresh_table.entries[machine._key(w)] is other
+    assert decode(w) == e
+    j = alias_reference(e)
+    assert check_proof(w, w) and check_proof(j, w)
+    assert not check_proof(j, w + 12) and not check_proof(encode(other), w)
 
 
 # --- alias_certificate against alias_reference -----------------------------
