@@ -50,7 +50,6 @@ def _repair(p: int, a: int, b: int, a2: int, b2: int) -> int:
 # divmod; above it, the recursions beat isqrt's and divmod's schoolbook
 # division, whose cost in CPython 3.11 grows quadratically with the size.
 _SQRT_FLOOR_BITS = 4096
-_SQRT_FLOOR = 1 << (_SQRT_FLOOR_BITS - 1)  # least value of that many bits
 
 
 def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:
@@ -115,14 +114,8 @@ def _sqrtrem(n: int) -> tuple[int, int]:
 def unpair(c: int) -> tuple[int, int]:
     """Cantor unpairing, read off the remainder of one exact square root:
     8c + 1 - t*t is 8b when t = 2s + 1, and 8b - 2t + 1 when t = 2s + 2,
-    so no second squaring is needed.  Below the floor the root is taken
-    here, as _sqrtrem would take it."""
-    n = 8 * c + 1
-    if n < _SQRT_FLOOR:
-        t = isqrt(n)
-        r = n - t * t
-    else:
-        t, r = _sqrtrem(n)
+    so no second squaring is needed."""
+    t, r = _sqrtrem(8 * c + 1)
     s = (t - 1) >> 1
     b = r >> 3 if t & 1 else (r + 2 * t - 1) >> 3
     return s - b, b
@@ -232,10 +225,17 @@ class _CodeTable:
         self.bits = 0
 
     def add(self, key: object, e: Expr) -> None:
-        """Keep e under key, if e carries a code and key is new."""
+        """Keep e under key, if e carries a code and key holds no node with
+        that code.  A node with another code under key makes way for e."""
         code = e._code
-        if code is None or key in self.entries:
+        if code is None:
             return
+        old = self.entries.get(key)
+        if old is not None:
+            if old._code == code:
+                return
+            del self.entries[key]
+            self.bits -= old._code.bit_length()
         bits = code.bit_length()
         while self.bits + bits > _TABLE_MAX_BITS:
             self.bits -= self.entries.popitem(last=False)[1]._code.bit_length()

@@ -102,25 +102,6 @@ def test_unpair_of_small_codes():
         assert unpair(c) == unpair_reference(c)
 
 
-def test_unpair_at_the_floor(monkeypatch):
-    """unpair takes the root itself while 8c + 1 is below the floor, and
-    through _sqrtrem from there: codes on either side, and the ends of the
-    diagonals that cross it."""
-    rooted = []
-    real = machine._sqrtrem
-    monkeypatch.setattr(machine, "_sqrtrem", lambda n: rooted.append(n) or real(n))
-    edge = (machine._SQRT_FLOOR - 1) // 8  # the last code below the floor
-    assert (8 * edge + 1).bit_length() < FLOOR <= (8 * edge + 9).bit_length()
-    codes = list(range(edge - 40, edge + 40))
-    s = isqrt(2 * edge)
-    for t in range(s - 3, s + 4):
-        codes += [t * (t + 1) // 2 + d for d in (-1, 0, 1, t)]
-    for c in codes:
-        rooted.clear()
-        assert unpair(c) == unpair_reference(c)
-        assert bool(rooted) == (c > edge)
-
-
 def test_the_alias_payload_of_ext_probe():
     cert = alias_certificate(FiniteSupportFn((0,) * 6 + (1,)).program())
     payload = cert.derivation // 12
