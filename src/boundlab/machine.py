@@ -32,18 +32,16 @@ def pair(a: int, b: int) -> int:
     return (s * s + s >> 1) + b  # s * s takes CPython's faster squaring
 
 
-def _repair(p: int, a: int, b: int, a2: int, b2: int) -> int:
-    """pair(a2, b2), given p = pair(a, b).  With s = a + b and s2 = a2 + b2,
-    pair(a2, b2) - p = (s2 - s)(s2 + s + 1)/2 + (b2 - b), and the product
-    is even; a short s2 - s so costs one short product, not a squaring.  A
-    difference with more than half the bits of s is paired afresh."""
-    if a2 == a and b2 == b:
-        return p
-    s, s2 = a + b, a2 + b2
-    d = s2 - s
-    if 2 * abs(d).bit_length() > s.bit_length():
-        return pair(a2, b2)
-    return p + (d * (s2 + s + 1) >> 1) + b2 - b
+def _shift(a: int, b: int, da: int, db: int) -> int:
+    """pair(a + da, b + db) - pair(a, b), by Cantor pairing's finite
+    difference: with s = a + b and d = da + db it is d(2s + d + 1)/2 + db,
+    and the product is even.  A short d so costs one short product, not a
+    squaring.  A long d needs no fallback: the one product still costs less
+    than pairing both codes afresh, which squares twice."""
+    d = da + db
+    if not d:  # the same diagonal
+        return db
+    return (d * (2 * (a + b) + d + 1) >> 1) + db
 
 
 # Below this many bits _sqrtrem is isqrt and one squaring, and _div2n1n is
@@ -121,32 +119,34 @@ def unpair(c: int) -> tuple[int, int]:
     return s - b, b
 
 
-def _unpair_near(P: int, p: int, a: int, b: int) -> tuple[int, int]:
-    """unpair(P), given p = pair(a, b): the inverse of _repair.  Let
-    s = a + b and T(s) = p - b.  unpair finds the s2 with
-    T(s2) <= P < T(s2 + 1), and T(s + d) - T(s) = d(s + 1) + d(d - 1)/2
-    with d(d - 1) >= 0, so d = (P - T(s)) // (s + 1) never falls short of
-    s2 - s: stepping down from T(s + d) = T(s) + d(2s + d + 1)/2 to the
-    first T(s2) <= P is exact whatever the hint.  A d with more than half
-    the bits of s is unpaired afresh; within that, a few steps suffice."""
-    if P == p:  # the hint itself: its own children, as the same objects
-        return a, b
+def _split(dP: int, a: int, b: int) -> tuple[int, int]:
+    """unpair(pair(a, b) + dP) less (a, b): how a pair's children move when
+    its code moves by dP, the inverse of _shift.  Let s = a + b and
+    T(x) = x(x + 1)/2, so that pair(a, b) = T(s) + b, and let r = dP + b,
+    the moved code's offset from T(s).  unpair finds the s + d with
+    T(s + d) - T(s) <= r < T(s + d + 1) - T(s), and
+    T(s + d) - T(s) = d(s + 1) + d(d - 1)/2 with d(d - 1) >= 0, so
+    r // (s + 1) never falls short of d: stepping down from it to the
+    first d whose offset is at most r is exact whatever a and b are.  Only
+    numbers of the size of dP, d and s are formed, never the code itself.
+    A d with more than half the bits of s is unpaired afresh, the code
+    computed only then; within that, at most two steps are taken."""
+    if not dP:  # the pair itself: its children do not move
+        return 0, 0
     s = a + b
-    t = p - b
-    r, n = P - t, s.bit_length()
-    # d has at least |r|'s bits less s + 1's: a far P pays no division
-    if 2 * (abs(r).bit_length() - (s + 1).bit_length()) > n:
-        return unpair(P)
-    d = r // (s + 1)
-    if 2 * abs(d).bit_length() > n:
-        return unpair(P)
-    s += d
-    t += d * (2 * s - d + 1) >> 1
-    while t > P:
-        s -= 1
-        t -= s + 1
-    b = P - t
-    return s - b, b
+    s1, r, n = s + 1, dP + b, s.bit_length()
+    # d has at least r's bits less s + 1's: a far code pays no division
+    if 2 * (r.bit_length() - s1.bit_length()) <= n:
+        d, rest = divmod(r, s1)
+        if 2 * d.bit_length() <= n:
+            b2 = rest - (d * d - d >> 1)  # r - (T(s + d) - T(s)): b's value on diagonal s + d
+            while b2 < 0:
+                d -= 1
+                b2 += s1 + d
+            db = b2 - b
+            return d - db, db
+    a2, b2 = unpair(pair(a, b) + dP)
+    return a2 - a, b2 - b
 
 
 OPS = (
@@ -331,14 +331,19 @@ def _built(op: str, args: tuple[Expr, ...], value: int = 0) -> Expr:
     return e
 
 
-def decode(code: int) -> Expr:
+def decode(code: int, levels: int | None = None) -> Expr:
     """Total inverse-ish of encode: every natural is some program.
 
     Iterative like encode; codes encode has recorded are looked up instead
-    of unpaired.
+    of unpaired.  With levels, nodes more than that many levels below the
+    root are left as ARG and not unpaired: a run of the result from nesting
+    level _MAX_DEPTH - levels hits the cap on entering them, before it
+    reads them.
     """
     if code < 0:
         raise ValueError("indices are naturals")
+    if levels is not None and 2 * code.bit_length() > 7 * levels:
+        return _decode_cut(code, levels)
     order: list[Expr | str] = []  # finished leaves, or the op of an inner node
     todo = [code]
     while todo:
@@ -364,6 +369,49 @@ def decode(code: int) -> Expr:
                 todo.extend(unpair(rest))
             else:
                 todo.extend(unpair(payload))
+    return _assemble(order)
+
+
+def _decode_cut(code: int, levels: int) -> Expr:
+    """decode(code, levels) for a code that may reach past the cut.  Each
+    level multiplies a code by 12 or more, so a code of at most 3.5k bits,
+    below 12**k, has no node more than k levels below it: such a subtree is
+    decoded whole, and only the nodes above them are unpaired here, one at
+    a time."""
+    order: list[Expr | str] = []
+    todo = [(code, levels)]  # codes still to decode, each with the levels left below it
+    while todo:
+        c, left = todo.pop()
+        if 2 * c.bit_length() <= 7 * left:
+            order.append(decode(c))
+            continue
+        if left < 0:
+            order.append(ARG)
+            continue
+        hit = _lookup(c) if c >= _TABLE_MIN_CODE else None
+        if hit is not None:
+            order.append(hit)
+            continue
+        payload, tag = divmod(c, 12)
+        if tag < 2:
+            order.append(_built("const", (), payload) if tag else ARG)
+            continue
+        op = OPS[tag]
+        order.append(op)
+        if ARITY[op] == 1:
+            kids = (payload,)
+        elif op == "if0":
+            cond, rest = unpair(payload)
+            kids = (cond, *unpair(rest))
+        else:
+            kids = unpair(payload)
+        todo.extend((k, left - 1) for k in kids)
+    return _assemble(order)
+
+
+def _assemble(order: list[Expr | str]) -> Expr:
+    """The program whose nodes order lists root first, each inner node by
+    its op, with its children's subtrees after it, leftmost first."""
     built: list[Expr] = []  # finished subtrees, leftmost child deepest
     for item in reversed(order):
         if type(item) is str:
@@ -524,10 +572,11 @@ def _eval(e: Expr, z: int, fuel: _Fuel, depth: int) -> int:
                 break
         return fuel.charge(result)
     # apply: evaluate both sides, pay to decode the index, run the body
+    # (decoded only as deep as the cap lets it run)
     w = _eval(args[0], z, fuel, depth)
     x = _eval(args[1], z, fuel, depth)
     fuel.charge(w)
-    return fuel.charge(_eval(decode(w), x, fuel, depth))
+    return fuel.charge(_eval(decode(w, _MAX_DEPTH - depth), x, fuel, depth))
 
 
 def eval_outcome(e: Expr, z: int, budget: int) -> tuple[int, int] | None:
@@ -557,7 +606,7 @@ def eval_profile(e: Expr, z: int, budget: int) -> tuple[int, int] | None:
 
 def eval_steps(w: int, z: int, budget: int) -> int | None:
     """The machine proper: run the program with index w on input z."""
-    out = eval_profile(decode(w), z, budget)
+    out = eval_profile(decode(w, _MAX_DEPTH - 1), z, budget)
     return None if out is None else out[0]
 
 
@@ -579,44 +628,47 @@ def check_proof(j: int, w: int) -> bool:
     canonical index is w.  Application-free programs always terminate, so
     accepted certificates only ever certify genuinely total programs.
 
-    This is encode(decode(j)) == w, checked in one top-down walk over pairs
-    of codes, j's and w's at the same place; no program is built.  j is
-    walked as decode walks it: a table hit is canonical, so it must be w's
-    code.  Elsewhere the tags must agree and not be apply; an argument's
+    This is encode(decode(j)) == w, checked in one top-down walk over w's
+    code at each place and j's difference from it; no program is built,
+    and no code of j is divided or split whole.  A difference of 0 at a
+    code the table holds is that recorded program, which must be
+    application-free.  Elsewhere the tags agree exactly when the
+    difference is a multiple of 12 and must not be apply; an argument's
     payload must be 0 in w, since the numbering fails to be injective only
     there, and a constant's the same in both.  w's payload is split by
     unpair, or read off its recorded program's stored codes when the table
-    holds it; j's is split by _unpair_near around w's split, which is exact
-    whatever w is.  The walk stops at the first disagreement, so it visits
-    no more nodes than w's program has.  The table is read, never written.
+    holds it; the payload's difference is split by _split around w's
+    split, which gives the children's differences.  The walk stops at the
+    first disagreement, so it visits no more nodes than w's program has.
+    The table is read, never written.
     """
     if j < 0 or w < 0:
         return False
-    todo = [(j, w)]  # j's codes still to check, each with w's at the same place
+    todo = [(w, j - w)]  # w's codes still to check, each with j's difference from it
     while todo:
-        c, cw = todo.pop()
-        if c >= _TABLE_MIN_CODE:
-            hit = _lookup(c)
-            if hit is not None:
-                if c != cw or not apply_free(hit):
-                    return False
-                continue
-        payload, tag = divmod(c, 12)
-        pw, tw = divmod(cw, 12)
-        op = OPS[tag]
-        if tag != tw or op == "apply":
+        cw, dc = todo.pop()
+        n = _lookup(cw) if cw >= _TABLE_MIN_CODE else None
+        if n is not None and not dc:
+            if not apply_free(n):
+                return False
+            continue
+        dp, moved = divmod(dc, 12)
+        if moved:  # the tags differ
             return False
-        if tag < 2:
-            if pw != (payload if tag else 0):  # every argument payload means ARG
+        if n is None:
+            pw, tag = divmod(cw, 12)
+        else:
+            tag = TAG[n.op]
+        op = OPS[tag]
+        if op == "apply":
+            return False
+        if tag < 2:  # every argument payload means ARG, so w's must be 0
+            if (dp if tag else cw) != 0:
                 return False
             continue
         k = ARITY[op]
-        if k == 1:
-            todo.append((payload, pw))
-            continue
-        n = _lookup(cw) if cw >= _TABLE_MIN_CODE else None
         if n is None:
-            kids = unpair(pw)
+            kids = unpair(pw) if k > 1 else (pw,)
             if k == 3:
                 inner = kids[1]
                 kids = (kids[0], *unpair(inner))
@@ -626,11 +678,13 @@ def check_proof(j: int, w: int) -> bool:
                 inner = n._inner
                 if inner is None:
                     inner = pair(kids[1], kids[2])
-        if k == 3:
-            cond, rest = _unpair_near(payload, pw, kids[0], inner)
-            todo.extend(zip((cond, *_unpair_near(rest, inner, kids[1], kids[2])), kids))
+        if k == 1:
+            todo.append((kids[0], dp))
+        elif k == 2:
+            todo.extend(zip(kids, _split(dp, *kids)))
         else:
-            todo.extend(zip(_unpair_near(payload, pw, *kids), kids))
+            dcond, dinner = _split(dp, kids[0], inner)
+            todo.extend(zip(kids, (dcond, *_split(dinner, kids[1], kids[2]))))
     return True
 
 
@@ -658,13 +712,15 @@ def alias_certificate(e: Expr) -> TotalityCertificate | None:
     Re-encodes the build with the first argument node (in preorder) carried
     by payload 1 instead of 0; monotonicity of the pairing pushes every
     enclosing code up, so the alias always exceeds the canonical index.
-    Only the nodes on the path down to that node change, bottom up: each
-    moves its canonical payload, read off its stored code when it has one,
-    by its child's change (_repair); an if0's inner pair moves likewise,
-    read off the node when it stores one, else paired once.  Their other
-    children keep their canonical codes from encode, stored ones included,
-    and the codes on the path are never stored or recorded.  None if the
-    program has no argument node (or is not certifiable).
+    Only the codes on the path down to that node move, and only their moves
+    are computed, bottom up: each node's payload moves by its child's move
+    (_shift), and an if0's inner pair, read off the node when it stores
+    one, else paired once, moves likewise.  The alias is the canonical
+    index plus the root's move.  A path node's canonical code is its stored
+    one, or paired from its children, and its other children keep their
+    canonical codes from encode, stored ones included; nothing on the path
+    is stored or recorded.  None if the program has no argument node (or is
+    not certifiable).
     """
     if not apply_free(e):
         return None
@@ -674,25 +730,23 @@ def alias_certificate(e: Expr) -> TotalityCertificate | None:
     while todo:
         n, up = todo.pop()
         if n.op == "arg":
-            old, new = 0, 12  # the canonical and the alias code of the path's node
+            old, move = 0, 12  # the path node's canonical code, and the alias's move from it
             while up is not None:
                 parent, i, up = up
                 kids = [old if j == i else encode(a) for j, a in enumerate(parent.args)]
-                moved = kids.copy()
-                moved[i] = new
-                if len(kids) == 1:
-                    p, p2 = old, new
-                else:
-                    if len(kids) == 3:  # an if0's inner pair moves like a child
-                        inner = parent._inner
-                        if inner is None:
-                            inner = pair(kids[1], kids[2])
-                        kids, moved = [kids[0], inner], [moved[0], _repair(inner, *kids[1:], *moved[1:])]
-                    code = parent._code
-                    p = pair(*kids) if code is None else code // 12
-                    p2 = _repair(p, *kids, *moved)
-                tag = TAG[parent.op]
-                old, new = p * 12 + tag, p2 * 12 + tag
-            return TotalityCertificate(new, index)
+                moves = [0] * len(kids)
+                moves[i] = move
+                if len(kids) == 3:  # an if0's inner pair moves like a child
+                    inner = parent._inner
+                    if inner is None:
+                        inner = pair(kids[1], kids[2])
+                    moves = [moves[0], _shift(*kids[1:], *moves[1:])]
+                    kids = [kids[0], inner]
+                move = 12 * (move if len(kids) == 1 else _shift(*kids, *moves))
+                if up is not None:
+                    old = parent._code
+                    if old is None:
+                        old = (kids[0] if len(kids) == 1 else pair(*kids)) * 12 + TAG[parent.op]
+            return TotalityCertificate(index + move, index)
         todo.extend((n.args[i], (n, i, up)) for i in reversed(range(len(n.args))))
     return None

@@ -49,6 +49,33 @@ def test_a_long_dc_chain_builds_and_verifies_in_seconds(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"ok": True, "operation": "fuse.dc"}
 
 
+def test_ext_az_decodes_an_applied_code_only_as_deep_as_the_cap(capsys):
+    """The 358-kbit code of 100,000 succ nodes over arg, applied: only the
+    levels the nesting cap lets the run reach are decoded, so the call
+    gives its refusal within a second instead of unpairing every node."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        program = f"(apply (const {2 * (12**100000 - 1) // 11}) (const 0))"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+    def expire(signum, frame):
+        pytest.fail("ext az on the applied chain did not finish within 1 s", pytrace=False)
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    try:
+        code = cli.main(["ext", "az", program, "--support-bound", "0", "--value-bound", "1"])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert code == 2
+    assert capsys.readouterr().out == (
+        '{"code": "BudgetExhausted","message": "functional probe did not converge within 1000000 steps"}\n'
+    )
+
+
 OPEN_A = {"stem": 1, "explicit": [2], "base": 3, "slope": 1}
 OPEN_B = {"stem": 2, "explicit": [2, 1], "base": 4, "slope": 2}
 

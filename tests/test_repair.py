@@ -1,15 +1,17 @@
 """Re-pairing and unpairing by difference.
 
-`_repair` moves a Cantor code by its finite difference instead of pairing
-again; `alias_certificate` builds its codes with it.  `_unpair_near` splits
-a code by stepping from a known pair instead of taking a square root;
-`check_proof` splits each of the certificate's codes with it around the
-claim's code at the same place, whose split it reads off the claim's
-recorded program when the table holds it.  Each is held against the plain
-computation it replaces: `_repair` against `pair`, `_unpair_near` against
-`unpair`, `check_proof` against decoding and re-encoding by the
-references, `alias_certificate` against `alias_reference`, on codes on
-both sides of the decode table's floor and with the table cold and warm.
+`_shift` gives how far a Cantor code moves when its children move, by the
+pairing's finite difference instead of pairing again; `alias_certificate`
+moves the codes on its path with it.  `_split` gives how far a pair's
+children move when its code moves, by stepping from the known pair
+instead of taking a square root; `check_proof` splits the certificate's
+difference from its claim with it at each place, around the claim's
+pair, which it reads off the claim's recorded program when the table
+holds it.  Each is held against the plain computation it replaces:
+`_shift` against two pairings, `_split` against unpair of the moved code,
+`check_proof` against decoding and re-encoding by the references,
+`alias_certificate` against `alias_reference`, on codes on both sides of
+the decode table's floor and with the table cold and warm.
 """
 
 import signal
@@ -23,8 +25,8 @@ from boundlab.machine import (
     ARG,
     Expr,
     TotalityCertificate,
-    _repair,
-    _unpair_near,
+    _shift,
+    _split,
     alias_certificate,
     apply_free,
     check_proof,
@@ -56,50 +58,69 @@ def lookup(values):
     return FiniteSupportFn(tuple(values)).program()
 
 
-# --- _repair against pair --------------------------------------------------
+# --- _shift against pair ---------------------------------------------------
 
 naturals = st.one_of(st.integers(0, 2**70), st.integers(0, 2**3000))
-shifts = st.one_of(st.integers(-40, 40), st.integers(-(2**64), 2**64), st.integers(-(2**2000), 2**2000))
+
+
+@st.composite
+def near_pairs(draw):
+    """A pair whose sum has 4 to 8,000 bits, and a move of up to twice that
+    many bits, up or down, kept natural: so moves on both sides of half
+    the sum's bits, near ones and none."""
+    bits = draw(st.integers(4, 8000))
+    s = draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+    b = draw(st.integers(0, s))
+    reach = draw(st.integers(0, 2 * bits + 2))
+    move = st.one_of(st.just(0), st.integers(-40, 40), st.integers(-(2**reach), 2**reach))
+    return s - b, b, draw(move), draw(move)
 
 
 @SETTINGS
-@given(naturals, naturals, shifts, shifts)
-def test_repair_is_the_pairing_of_the_new_children(a, b, da, db):
-    a2, b2 = max(a + da, 0), max(b + db, 0)
-    assert _repair(cantor_pair(a, b), a, b, a2, b2) == cantor_pair(a2, b2)
+@given(near_pairs())
+def test_repair_is_the_pairing_of_the_new_children(case):
+    a, b, da, db = case
+    da, db = max(a + da, 0) - a, max(b + db, 0) - b
+    assert _shift(a, b, da, db) == cantor_pair(a + da, b + db) - cantor_pair(a, b)
 
 
-def test_repair_pairs_afresh_only_past_half_the_bits(monkeypatch):
+def test_repair_pairs_nothing_afresh_at_any_distance(monkeypatch):
+    """The one product stays exact past half the bits, where a fresh
+    pairing of both codes would cost two squarings."""
     paired = []
     monkeypatch.setattr(machine, "pair", lambda a, b: paired.append((a, b)) or cantor_pair(a, b))
     a, b = 2**4000 + 7, 3**1000
-    p = cantor_pair(a, b)
     assert (a + b).bit_length() == 4001
-    assert _repair(p, a, b, a, b) is p  # unchanged
-    assert _repair(p, a, b, a - 12, b) == cantor_pair(a - 12, b)  # the sum falls
-    assert _repair(p, a, b, a + 12, b - 12) == cantor_pair(a + 12, b - 12)  # the sum stays
-    assert _repair(p, a, b, a, b + 2**1999) == cantor_pair(a, b + 2**1999)  # 2,000 bits: half
+    for da, db in [
+        (0, 0),  # unchanged
+        (-12, 0),  # the sum falls
+        (12, -12),  # the sum stays
+        (0, 2**1999),  # 2,000 bits: half
+        (-(2**2000), 0),  # 2,001 bits
+        (-a, -b),  # down to nothing
+        (2**9000, 5),  # far above the pair itself
+    ]:
+        assert _shift(a, b, da, db) == cantor_pair(a + da, b + db) - cantor_pair(a, b)
     assert not paired
-    assert _repair(p, a, b, a - 2**2000, b) == cantor_pair(a - 2**2000, b)  # 2,001 bits
-    assert _repair(p, a, b, 0, 0) == 0
-    assert paired == [(a - 2**2000, b), (0, 0)]
-    assert _repair(0, 0, 0, 0, 5) == cantor_pair(0, 5)  # s = 0 has no bits to spare
-    assert _repair(cantor_pair(9, 0), 9, 0, 0, 9) == cantor_pair(0, 9)  # only b moves
+    assert _shift(0, 0, 0, 5) == cantor_pair(0, 5)  # s = 0
+    assert _shift(9, 0, -9, 9) == cantor_pair(0, 9) - cantor_pair(9, 0)  # only the split of s moves
 
 
-# --- _unpair_near against unpair -------------------------------------------
+# --- _split against unpair --------------------------------------------------
+
+def unpair_move(P, a, b):
+    """unpair(P) less (a, b), by the reference."""
+    a2, b2 = unpair_reference(P)
+    return a2 - a, b2 - b
+
 
 @SETTINGS
-@given(st.integers(4, 8000), st.data())
-def test_unpair_near_is_unpair(bits, data):
-    """A hint whose sum has 4 to 8,000 bits, and a code moved from it by
-    up to twice that many bits, up or down."""
-    s = data.draw(st.integers(2 ** (bits - 1), 2**bits - 1))
-    b = data.draw(st.integers(0, s))
-    p = cantor_pair(s - b, b)
-    reach = data.draw(st.integers(0, 2 * bits + 2))
-    P = max(p + data.draw(st.integers(-(2**reach), 2**reach)), 0)
-    assert _unpair_near(P, p, s - b, b) == unpair_reference(P)
+@given(near_pairs())
+def test_unpair_near_is_unpair(case):
+    a, b, move, _ = case
+    p = cantor_pair(a, b)
+    dP = max(p + move, 0) - p
+    assert _split(dP, a, b) == unpair_move(p + dP, a, b)
 
 
 def test_unpair_near_steps_only_within_half_the_bits(monkeypatch):
@@ -109,7 +130,7 @@ def test_unpair_near_steps_only_within_half_the_bits(monkeypatch):
     p = cantor_pair(a, b)
     assert (a + b).bit_length() == 4001
     near = [
-        p,  # d = 0
+        p,  # no move
         p + 5,  # d = 0, another b on the same diagonal
         cantor_pair(a + 12, b - 12),  # the sum stays
         cantor_pair(a - 12, b),  # negative d
@@ -121,27 +142,37 @@ def test_unpair_near_steps_only_within_half_the_bits(monkeypatch):
         cantor_pair(a - 2**1999, b + 5),
     ]
     for P in near:
-        assert _unpair_near(P, p, a, b) == unpair_reference(P)
+        assert _split(P - p, a, b) == unpair_move(P, a, b)
     assert not fresh
     far = [cantor_pair(a + 2**2000, b), cantor_pair(a - 2**2000, b), 0]  # 2,001 bits
     for P in far:
-        assert _unpair_near(P, p, a, b) == unpair_reference(P)
+        assert _split(P - p, a, b) == unpair_move(P, a, b)
     assert fresh == far
-    # s <= 1 has no bits to spare: only codes on the hint's own diagonal step
+    # Two steps, the most there can be: an s of 2**3999, the least of an
+    # even number of bits, and the last code of the diagonal 2**2000 + 1
+    # below it; the estimate is then 2**2000 - 1, with 2,000 bits.
+    fresh.clear()
+    s = 2**3999
+    P = cantor_pair(0, s - 2**2000 - 1)
+    for a, b in ((s, 0), (0, s), (7, s - 7)):
+        assert _split(P - cantor_pair(a, b), a, b) == unpair_move(P, a, b)
+    assert not fresh
+    # s <= 1 has no bits to spare: only codes on the pair's own diagonal step
     for a, b in ((0, 0), (1, 0), (0, 1)):
         fresh.clear()
+        p = cantor_pair(a, b)
         for P in range(12):
-            assert _unpair_near(P, cantor_pair(a, b), a, b) == unpair_reference(P)
+            assert _split(P - p, a, b) == unpair_move(P, a, b)
         assert len(fresh) == 12 - (a + b + 1)
 
 
 @SETTINGS
 @given(naturals, naturals)
 def test_unpair_near_of_the_hint_is_its_children(a, b):
-    p = cantor_pair(a, b)
-    got = _unpair_near(p, p, a, b)
-    assert got == (a, b) and got[0] is a and got[1] is b
-    assert _unpair_near(p + 1 - 1, p, a, b) == (a, b)  # an equal code, not the hint's own object
+    """A code that does not move leaves its children where they are; one
+    step up moves along its diagonal, or from its end to the next one."""
+    assert _split(0, a, b) == (0, 0)
+    assert _split(1, a, b) == ((-1, 1) if a else (b + 1, -b))
 
 
 # --- check_proof against decode-and-encode ---------------------------------
@@ -277,18 +308,20 @@ def preorder(e):
 
 
 def hint_spy(monkeypatch):
-    """Every split check_proof makes near the claim, each held against unpair."""
+    """Every split check_proof makes near the claim, each held against
+    unpair of the moved payload; the moved payloads."""
     splits = []
-    real, plain = machine._unpair_near, machine.unpair
+    real, plain = machine._split, machine.unpair
 
-    def checked(P, p, a, b):
-        assert p == cantor_pair(a, b)
-        got = real(P, p, a, b)
-        assert got == plain(P)
+    def checked(dP, a, b):
+        got = real(dP, a, b)
+        P = cantor_pair(a, b) + dP
+        a2, b2 = plain(P)
+        assert got == (a2 - a, b2 - b)
         splits.append(P)
         return got
 
-    monkeypatch.setattr(machine, "_unpair_near", checked)
+    monkeypatch.setattr(machine, "_split", checked)
     return splits
 
 
@@ -435,6 +468,31 @@ def test_check_proof_takes_the_hint_for_the_ext_probe_alias(fresh_table, monkeyp
     assert splits and not roots
     assert snapshot(fresh_table) == before
     assert all(bits <= machine._TABLE_MIN_BITS for bits in widths)
+
+
+def divmod_spy(monkeypatch):
+    """The dividend's bits of every divmod the machine makes: the module's
+    own name shadows the builtin."""
+    widths = []
+    monkeypatch.setattr(machine, "divmod", lambda a, b: widths.append(a.bit_length()) or divmod(a, b), raising=False)
+    return widths
+
+
+@pytest.mark.parametrize("values", [EXT_PROBE, (0,) * 7 + (1,), (0,) * 8 + (1,)], ids=["172kbit", "806kbit", "3.7Mbit"])
+def test_the_alias_and_its_check_divide_no_whole_claim(fresh_table, monkeypatch, values):
+    """ext_probe's certificate and the lookups of 8 and 9 values: the alias
+    moves the claim by a difference, and the check divides and splits only
+    differences and the claim's children, never a code of the claim's own
+    size."""
+    monkeypatch.setattr(realizability, "_PROGRAMS", machine._CodeTable())
+    g = FiniteSupportFn(values)
+    w = g.index()
+    e = g.program()
+    widths = divmod_spy(monkeypatch)
+    cert = alias_certificate(e)
+    assert cert.index == w and cert.derivation > w
+    assert check_proof(cert.derivation, cert.index)
+    assert widths and max(widths) <= 0.6 * w.bit_length()
 
 
 def strip_inner_pairs(e):
