@@ -293,3 +293,46 @@ def test_an_input_field_the_operation_never_reads_is_rejected(operation, field):
         build(operation, extra)
     with pytest.raises(BadCertificate, match=f"unknown input field '{field}'"):
         verify(dict(cert, inputs=extra))
+
+
+def _set(path, value):
+    """A mutation that sets the certificate's entry at path to value."""
+    def mutate(cert):
+        parent = cert
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "operation, mutate, message",
+    [
+        ("fuse.bound", _set(("trace", "decisions", 0, "value"), 5), "decision at [0] breaks its witness equation"),
+        (
+            "fuse.bound",
+            _set(("trace", "decisions", 1), {"node": [5], "value": 5, "witness": 0}),
+            "decision at [5] exceeds the recorded level",
+        ),
+        ("fuse.pseudo", _set(("trace", "chain"), []), "empty derivation chain"),
+        ("fuse.dc", _set(("trace", "chain"), []), "empty derivation chain"),
+        (
+            "fp.scenario",
+            _set(("trace", "scenarios", 0, "program"), 5),
+            "replay failed: recorded program must be program text",
+        ),
+        ("fp.scenario", _set(("trace", "scenarios", 0, "index"), 1), "recorded program does not match its index"),
+        (
+            "fp.scenario",
+            _set(("trace", "scenarios", 0, "certificate"), 2),
+            "recorded totality certificate does not check",
+        ),
+    ],
+)
+def test_each_row_check_names_the_row_fact_that_failed(operation, mutate, message):
+    cert = build(operation, _small_inputs(operation))
+    mutate(cert)
+    with pytest.raises(BadCertificate) as caught:
+        verify(cert)
+    assert str(caught.value) == message
