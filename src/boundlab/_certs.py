@@ -8,10 +8,10 @@ same canonical JSON text; before replaying it also re-checks the cheap
 per-row facts in the trace, so a tampered artifact fails even when the
 mismatch sits inside the trace rather than the outputs.
 
-Each operation imports its own layers when it runs, so building or
-replaying a certificate loads no other: ``fp.scenario`` loads the machine
-and no open layer, ``fuse.*`` no escape schedules, ``as.schedule`` no terms
-or fusion.  The CLI imports this module; the public path,
+Each operation's builder and rows check import their own layers when they
+run, so building or replaying a certificate loads no other: the scenario
+lab loads the machine and no open layer, fusion no escape schedules,
+escapes no terms or fusion.  The CLI imports this module; the public path,
 ``boundlab.certificates``, re-exports it.
 """
 
@@ -35,19 +35,9 @@ from .serialize import (
 CERT_FORMAT = "boundlab-cert/1"
 
 
-def _make(operation: str, inputs: dict, trace: dict, outputs: dict) -> dict:
-    return {
-        "format": CERT_FORMAT,
-        "operation": operation,
-        "inputs": inputs,
-        "trace": trace,
-        "outputs": outputs,
-    }
+# --- operations -----------------------------------------------------------
 
-
-# --- builders -------------------------------------------------------------
-
-def _build_fuse_bound(inputs: dict) -> dict:
+def _build_fuse_bound(inputs: dict) -> tuple[dict, dict]:
     from .fusion import bound_range_term, bound_range_term_at
     from .seq_opens import compatible_nodes
 
@@ -64,12 +54,20 @@ def _build_fuse_bound(inputs: dict) -> dict:
         {"node": list(node), "value": t.value_at(node), "witness": t.witness_at(node)}
         for node in compatible_nodes(q, t.modulus)
     ]
-    trace = {"decisions": decisions}
-    outputs = {"result": open_to_json(q)}
-    return _make("fuse.bound", inputs, trace, outputs)
+    return {"decisions": decisions}, {"result": open_to_json(q)}
 
 
-def _build_fuse_pseudo(inputs: dict) -> dict:
+def _decisions_hold(inputs: dict, trace: dict) -> None:
+    level = inputs.get("level")
+    for row in trace.get("decisions", []):
+        node, value, witness = row["node"], row["value"], row["witness"]
+        if not 0 <= witness < len(node) or node[witness] != value:
+            raise BadCertificate(f"decision at {node} breaks its witness equation")
+        if isinstance(level, int) and value > level:
+            raise BadCertificate(f"decision at {node} exceeds the recorded level")
+
+
+def _build_fuse_pseudo(inputs: dict) -> tuple[dict, dict]:
     from .fusion import fuse_pseudobound
     from .terms import TermSequence
 
@@ -83,12 +81,15 @@ def _build_fuse_pseudo(inputs: dict) -> dict:
     N0 = f.sup_range()
     a = TermSequence(lambda n: terms[n - N0])
     N, chain = fuse_pseudobound(p, a, f, stages)
-    trace = {"chain": [open_to_json(q) for q in chain]}
-    outputs = {"N": N, "result": open_to_json(chain[-1])}
-    return _make("fuse.pseudo", inputs, trace, outputs)
+    return {"chain": [open_to_json(q) for q in chain]}, {"N": N, "result": open_to_json(chain[-1])}
 
 
-def _build_fuse_dc(inputs: dict) -> dict:
+def _chain_is_nonempty(inputs: dict, trace: dict) -> None:
+    if not trace.get("chain"):
+        raise BadCertificate("empty derivation chain")
+
+
+def _build_fuse_dc(inputs: dict) -> tuple[dict, dict]:
     from .fusion import dc_chain
     from .terms import constant_term
 
@@ -105,12 +106,10 @@ def _build_fuse_dc(inputs: dict) -> dict:
     chain, witnesses = dc_chain(p, step, start, steps)
     flat = [w for w in witnesses if isinstance(w, int)]
     _expect(len(flat) == len(witnesses), "step oracle produced an undecided witness")
-    trace = {"chain": [open_to_json(q) for q in chain]}
-    outputs = {"witnesses": flat, "result": open_to_json(chain[-1])}
-    return _make("fuse.dc", inputs, trace, outputs)
+    return {"chain": [open_to_json(q) for q in chain]}, {"witnesses": flat, "result": open_to_json(chain[-1])}
 
 
-def _build_as_schedule(inputs: dict) -> dict:
+def _build_as_schedule(inputs: dict) -> tuple[dict, dict]:
     from .antispecker import escape_trace
     from .seq_opens import BasicOpen
 
@@ -121,12 +120,10 @@ def _build_as_schedule(inputs: dict) -> dict:
     level = _nat_field(inputs, "level")
     horizon = _nat_field(inputs, "horizon")
     tr = escape_trace(q, oracle, level, horizon)
-    trace = {"frames": tr["frames"]}
-    outputs = {"result": open_to_json(tr["result"]), "M": tr["M"]}
-    return _make("as.schedule", inputs, trace, outputs)
+    return {"frames": tr["frames"]}, {"result": open_to_json(tr["result"]), "M": tr["M"]}
 
 
-def _build_fp_scenario(inputs: dict) -> dict:
+def _build_fp_scenario(inputs: dict) -> tuple[dict, dict]:
     import random
 
     from .machine import format_program
@@ -153,59 +150,42 @@ def _build_fp_scenario(inputs: dict) -> dict:
             }
         )
         tables.append([[n, fn] for n, fn in table])
-    trace = {"scenarios": scenarios}
-    outputs = {"tables": tables}
-    return _make("fp.scenario", inputs, trace, outputs)
+    return {"scenarios": scenarios}, {"tables": tables}
 
 
-# Each operation's builder, with every input field it reads.
-_BUILDERS: dict[str, tuple[Callable[[dict], dict], tuple[str, ...]]] = {
-    "fuse.bound": (_build_fuse_bound, ("p", "term", "level", "at")),
-    "fuse.pseudo": (_build_fuse_pseudo, ("p", "point", "stages", "terms")),
-    "fuse.dc": (_build_fuse_dc, ("p", "start", "steps", "oracle")),
-    "as.schedule": (_build_as_schedule, ("q", "oracle", "level", "horizon")),
-    "fp.scenario": (_build_fp_scenario, ("seed", "count", "window", "budget")),
+def _scenarios_check(inputs: dict, trace: dict) -> None:
+    from .machine import check_proof, encode, parse_program
+
+    for row in trace.get("scenarios", []):
+        _expect(isinstance(row["program"], str), "recorded program must be program text")
+        x = parse_program(row["program"])
+        if encode(x) != row["index"]:
+            raise BadCertificate("recorded program does not match its index")
+        j = row["certificate"]
+        if not (check_proof(j, row["index"]) and j > row["index"]):
+            raise BadCertificate("recorded totality certificate does not check")
+
+
+# Each operation's builder, which returns (trace, outputs); every input field
+# it reads; and its rows check, which verify runs before it replays.
+_OPERATIONS: dict[str, tuple[Callable, tuple[str, ...], Callable | None]] = {
+    "fuse.bound": (_build_fuse_bound, ("p", "term", "level", "at"), _decisions_hold),
+    "fuse.pseudo": (_build_fuse_pseudo, ("p", "point", "stages", "terms"), _chain_is_nonempty),
+    "fuse.dc": (_build_fuse_dc, ("p", "start", "steps", "oracle"), _chain_is_nonempty),
+    "as.schedule": (_build_as_schedule, ("q", "oracle", "level", "horizon"), None),
+    "fp.scenario": (_build_fp_scenario, ("seed", "count", "window", "budget"), _scenarios_check),
 }
 
 
 def build(operation: str, inputs: dict) -> dict:
     """Run a certified operation and wrap it with its replayable trace."""
-    if operation not in _BUILDERS:
+    if operation not in _OPERATIONS:
         raise FormatError(f"unknown certified operation {operation!r}")
-    builder, fields = _BUILDERS[operation]
+    builder, fields, _ = _OPERATIONS[operation]
     for key in inputs:
         _expect(key in fields, f"unknown input field {key!r}")
-    return builder(inputs)
-
-
-# --- verification ---------------------------------------------------------
-
-def _check_rows(cert: dict) -> None:
-    """Cheap per-row facts that must hold before any replay."""
-    op = cert["operation"]
-    trace = cert["trace"]
-    if op == "fuse.bound":
-        level = cert["inputs"].get("level")
-        for row in trace.get("decisions", []):
-            node, value, witness = row["node"], row["value"], row["witness"]
-            if not 0 <= witness < len(node) or node[witness] != value:
-                raise BadCertificate(f"decision at {node} breaks its witness equation")
-            if isinstance(level, int) and value > level:
-                raise BadCertificate(f"decision at {node} exceeds the recorded level")
-    elif op in ("fuse.pseudo", "fuse.dc"):
-        if not trace.get("chain"):
-            raise BadCertificate("empty derivation chain")
-    elif op == "fp.scenario":
-        from .machine import check_proof, encode, parse_program
-
-        for row in trace.get("scenarios", []):
-            _expect(isinstance(row["program"], str), "recorded program must be program text")
-            x = parse_program(row["program"])
-            if encode(x) != row["index"]:
-                raise BadCertificate("recorded program does not match its index")
-            j = row["certificate"]
-            if not (check_proof(j, row["index"]) and j > row["index"]):
-                raise BadCertificate("recorded totality certificate does not check")
+    trace, outputs = builder(inputs)
+    return {"format": CERT_FORMAT, "operation": operation, "inputs": inputs, "trace": trace, "outputs": outputs}
 
 
 def verify(cert: Any) -> dict:
@@ -220,10 +200,12 @@ def verify(cert: Any) -> dict:
     if not (isinstance(cert["inputs"], dict) and isinstance(cert["trace"], dict)):
         raise BadCertificate("inputs and trace must be objects")
     op = cert["operation"]
-    if not isinstance(op, str) or op not in _BUILDERS:
+    if not isinstance(op, str) or op not in _OPERATIONS:
         raise BadCertificate(f"unknown certified operation {op!r}")
+    rows = _OPERATIONS[op][2]
     try:
-        _check_rows(cert)
+        if rows:
+            rows(cert["inputs"], cert["trace"])
         # As canonical text, where 2.0 is not 2 and true is not 1.
         same = dumps(build(op, cert["inputs"])) == dumps(cert)
     except BadCertificate:

@@ -125,25 +125,29 @@ def _seq_force_range(args) -> Any:
     return open_to_json(force_value_into_range(p, args.value))
 
 
-def _cert(operation: str, inputs_of) -> Any:
-    """The handler that builds operation's certificate on inputs_of(args)."""
+def _cert(operation: str) -> Any:
+    """The handler that builds operation's certificate.  Each input field of
+    its _certs entry is read from the command line: a positional argument
+    names a JSON file, and a flag is taken when it is set."""
     def handler(args) -> Any:
-        from ._certs import build
+        from ._certs import _OPERATIONS, build
 
-        return build(operation, inputs_of(args))
+        inputs = {}
+        for name in _OPERATIONS[operation][1]:
+            value = getattr(args, name, None)
+            if name in args.positionals:
+                inputs[name] = _load_json(value)
+            elif value is not None:
+                inputs[name] = value
+        return build(operation, inputs)
 
     return handler
 
 
-def _fuse_bound(args) -> dict:
-    inputs = {"p": _load_json(args.p), "term": _load_json(args.term), "level": args.level}
-    if args.at is not None:
-        inputs["at"] = args.at
-    return inputs
+def _fuse_pseudo(args) -> Any:
+    from ._certs import build
 
-
-def _fuse_dc(args) -> dict:
-    return {"p": _load_json(args.p), "start": args.start, "steps": args.steps, "oracle": args.oracle}
+    return build("fuse.pseudo", _load_dict(args.job))
 
 
 def _set_intersect(args) -> Any:
@@ -178,11 +182,6 @@ def _set_seqbound(args) -> Any:
     return {"bound": sequential_bound(O, decided)}
 
 
-def _as_schedule(args) -> dict:
-    q, oracle = _load_json(args.q), _load_json(args.oracle)
-    return {"q": q, "oracle": oracle, "level": args.level, "horizon": args.horizon}
-
-
 def _fp_v(args) -> Any:
     from .realizability import v
 
@@ -196,13 +195,6 @@ def _fp_witness(args) -> Any:
     from .realizability import unbounded_witness
 
     return {"k": args.k, "witness": unbounded_witness(args.k, args.budget)}
-
-
-def _fp_scenario(args) -> dict:
-    inputs = {"seed": args.seed, "count": args.count, "window": args.window}
-    if args.budget is not None:
-        inputs["budget"] = args.budget
-    return inputs
 
 
 def _ext_az(args) -> Any:
@@ -258,9 +250,9 @@ _COMMANDS: dict[str, tuple[str, Any]] = {
         "force-range": (_seq_force_range, ["open", ("--value", int, _REQUIRED)]),
     }),
     "fuse": ("good-extension and fusion constructions", {
-        "bound": (_cert("fuse.bound", _fuse_bound), ["p", "term", ("--level", int, _REQUIRED), ("--at", int, None)]),
-        "pseudo": (_cert("fuse.pseudo", lambda args: _load_dict(args.job)), ["job"]),
-        "dc": (_cert("fuse.dc", _fuse_dc), [
+        "bound": (_cert("fuse.bound"), ["p", "term", ("--level", int, _REQUIRED), ("--at", int, None)]),
+        "pseudo": (_fuse_pseudo, ["job"]),
+        "dc": (_cert("fuse.dc"), [
             "p", ("--start", int, _REQUIRED), ("--steps", int, _REQUIRED), ("--oracle", str, "successor"),
         ]),
     }),
@@ -270,14 +262,14 @@ _COMMANDS: dict[str, tuple[str, Any]] = {
         "seqbound": (_set_seqbound, ["job"]),
     }),
     "as": ("escape schedules for starred sequences", {
-        "schedule": (_cert("as.schedule", _as_schedule), [
+        "schedule": (_cert("as.schedule"), [
             "q", "oracle", ("--level", int, _REQUIRED), ("--horizon", int, _REQUIRED),
         ]),
     }),
     "fp": ("certified-convergence counterexample lab", {
         "v": (_fp_v, [("--max-n", int, _REQUIRED)]),
         "witness": (_fp_witness, [("--k", int, _REQUIRED)]),
-        "scenario": (_cert("fp.scenario", _fp_scenario), [("--count", int, 5), ("--window", int, 20)]),
+        "scenario": (_cert("fp.scenario"), [("--count", int, 5), ("--window", int, 20)]),
     }),
     "ext": ("functional-probing counterexample lab", {
         "az": (_ext_az, ["program", ("--support-bound", int, _REQUIRED), ("--value-bound", int, 4)]),
@@ -297,7 +289,7 @@ def _add_command(parser: _Parser, handler, arguments) -> None:
             flag, kind, default = arg
             required = default is _REQUIRED
             parser.add_argument(flag, type=kind, default=None if required else default, required=required)
-    parser.set_defaults(handler=handler)
+    parser.set_defaults(handler=handler, positionals=[a for a in arguments if isinstance(a, str)])
 
 
 def _build_parser() -> _Parser:

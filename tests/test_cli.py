@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from boundlab import cli
+from boundlab.certificates import build
 from boundlab.realizability import unbounded_witness, v
 from boundlab.seq_opens import intersect, make_open
 from boundlab.serialize import dumps, open_to_json
@@ -459,3 +460,56 @@ def test_a_global_budget_below_one_is_one_usage_error(name):
             "code": "Usage",
             "message": f"argument --budget: must be at least 1, got {budget}",
         }
+
+
+_P = {"stem": 0, "explicit": [], "base": 2, "slope": 1}
+_TERM = {"modulus": 1, "table": [{"node": [i], "value": i, "witness": 0} for i in range(3)]}
+_ORACLE = {"levels": [[n, n + 1] for n in range(7)], "labels": [], "default_star": True}
+_JOB = {
+    "p": {"stem": 0, "explicit": [], "base": 1, "slope": 1},
+    "point": {"prefix": [], "tail_value": 0},
+    "stages": 1,
+    "terms": [{"modulus": 1, "table": [{"node": [i], "value": i, "witness": 0} for i in range(2)]}] * 2,
+}
+
+
+@pytest.mark.parametrize(
+    "argv, operation, inputs",
+    [
+        (["fuse", "bound", "p.json", "t.json", "--level", "1"], "fuse.bound", {"p": _P, "term": _TERM, "level": 1}),
+        (
+            ["fuse", "bound", "p.json", "t.json", "--level", "1", "--at", "0"],
+            "fuse.bound",
+            {"p": _P, "term": _TERM, "level": 1, "at": 0},
+        ),
+        (["fuse", "pseudo", "job.json"], "fuse.pseudo", _JOB),
+        (
+            ["fuse", "dc", "p.json", "--start", "2", "--steps", "3", "--oracle", "successor"],
+            "fuse.dc",
+            {"p": _P, "start": 2, "steps": 3, "oracle": "successor"},
+        ),
+        (
+            ["as", "schedule", "p.json", "oracle.json", "--level", "1", "--horizon", "6"],
+            "as.schedule",
+            {"q": _P, "oracle": _ORACLE, "level": 1, "horizon": 6},
+        ),
+        (
+            ["fp", "scenario", "--count", "2", "--window", "0"],
+            "fp.scenario",
+            {"seed": 5, "count": 2, "window": 0, "budget": 7},
+        ),
+    ],
+)
+def test_each_certificate_command_records_what_the_library_builds(
+    tmp_path, monkeypatch, capsys, argv, operation, inputs
+):
+    """A positional argument is read as a JSON file and a set flag as its
+    value; a flag left unset is not recorded, and only fp.scenario reads
+    the global --seed and --budget.  A file named like the dc oracle shows
+    that --oracle stays a string."""
+    for name, payload in (("p.json", _P), ("t.json", _TERM), ("oracle.json", _ORACLE), ("job.json", _JOB)):
+        write(tmp_path, name, payload)
+    write(tmp_path, "successor", '"not an oracle"')
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["--seed", "5", "--budget", "7", *argv]) == 0
+    assert capsys.readouterr().out == dumps(build(operation, inputs)) + "\n"

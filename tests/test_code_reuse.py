@@ -2,6 +2,8 @@
 index() keeps its lookup programs, and the alias rides on encode's walk.
 Every code is checked against the recursive, table-free numbering."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from boundlab.machine import (
     apply_free,
     check_proof,
     const,
+    decode,
     encode,
     format_program,
     node,
@@ -24,7 +27,7 @@ from boundlab.machine import (
 )
 from boundlab.realizability import FiniteSupportFn
 
-from oracles import alias_reference, cantor_pair, encode_reference
+from oracles import alias_reference, cantor_pair, decode_reference, encode_reference
 from test_decode_table import fields, nodes, recorded, sized_programs
 
 SETTINGS = settings(max_examples=80, deadline=None, database=None, derandomize=True)
@@ -218,3 +221,27 @@ def test_program_text_errors_are_named(text, message):
     with pytest.raises(ValueError) as info:
         parse_program(text)
     assert str(info.value) == message
+
+
+def test_a_deep_program_matches_the_recursive_references():
+    """A 2,000-node succ chain, five times the nesting cap: decode, encode
+    and the alias agree with the references, which recurse once per level
+    and so get a higher recursion limit for this test alone.  Programs are
+    compared as text, since == of two Exprs this deep recurses in C."""
+    e = parse_program("(if0 arg (const 3) (pair arg (const 1)))")
+    for _ in range(2000):
+        e = node("succ", e)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 10_000))
+    try:
+        code = encode_reference(e)
+        text = format_program(decode_reference(code))
+        alias = alias_reference(e)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text == format_program(e)
+    assert format_program(decode(code)) == text  # no code recorded yet: every link unpaired
+    assert encode(e) == code
+    assert format_program(decode(code)) == text
+    assert alias_certificate(e) == TotalityCertificate(alias, code)
+    assert check_proof(alias, code)
